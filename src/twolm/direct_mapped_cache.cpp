@@ -1,9 +1,19 @@
 #include "twolm/direct_mapped_cache.hpp"
 
+#include <algorithm>
+
 #include "util/align.hpp"
 #include "util/error.hpp"
 
 namespace ca::twolm {
+namespace {
+
+// Fields of a line word: tag << 2 | dirty << 1 | valid.
+constexpr std::uint32_t kValid = 1;
+constexpr std::uint32_t kDirty = 2;
+constexpr unsigned kTagBits = 30;
+
+}  // namespace
 
 DirectMappedCache::DirectMappedCache(const CacheConfig& config,
                                      const sim::Platform& platform,
@@ -22,7 +32,9 @@ DirectMappedCache::DirectMappedCache(const CacheConfig& config,
   const std::size_t blocks = config_.capacity / config_.block_size;
   CA_CHECK(blocks % config_.ways == 0,
            "capacity/block_size must be a multiple of the associativity");
-  lines_.resize(blocks);
+  sets_ = blocks / config_.ways;
+  lines_.assign(blocks, 0);
+  if (config_.ways > 1) stamps_.assign(blocks, 0);
 
   const std::size_t t = config_.kernel_threads;
   const auto& dram = platform_.spec(fast_);
@@ -38,62 +50,70 @@ DirectMappedCache::DirectMappedCache(const CacheConfig& config,
       nvram.write_bw_nt.at(t) * config_.nvram_write_efficiency;
 }
 
-void DirectMappedCache::access_block(std::size_t block, bool write,
-                                     std::uint64_t& hits,
-                                     std::uint64_t& clean,
-                                     std::uint64_t& dirty) {
-  const std::size_t nsets = num_sets();
-  const std::size_t set = block % nsets;
-  const std::uint64_t tag = block / nsets;
-  Line* base = lines_.data() + set * config_.ways;
-
-  Line* hit = nullptr;
-  Line* victim = base;
-  for (std::size_t w = 0; w < config_.ways; ++w) {
-    Line& line = base[w];
-    if (line.valid && line.tag == tag) {
-      hit = &line;
-      break;
-    }
-    if (!line.valid) {
-      victim = &line;  // prefer an invalid way
-    } else if (victim->valid && line.lru < victim->lru) {
-      victim = &line;
-    }
-  }
-  Line* line = hit;
-  if (line == nullptr) {
-    if (victim->valid && victim->dirty) {
-      ++dirty;
-    } else {
-      ++clean;
-    }
-    victim->valid = true;
-    victim->tag = tag;
-    victim->dirty = false;
-    line = victim;
-  } else {
-    ++hits;
-  }
-  if (write) line->dirty = true;
-  line->lru = ++tick_;
-}
-
 double DirectMappedCache::access(std::size_t addr, std::size_t bytes,
                                  bool write) {
   if (bytes == 0) return 0.0;
   const std::size_t bs = config_.block_size;
   const std::size_t first = addr / bs;
   const std::size_t last = (addr + bytes - 1) / bs;
+  // last / sets_ < 2^30, tested without a second division.
+  CA_CHECK((last >> kTagBits) < sets_,
+           "2LM tag overflows 30 bits: address >= 2^30 x capacity / ways");
+  const std::uint64_t blocks = last - first + 1;
+  const std::size_t ways = config_.ways;
+  const std::uint32_t dirty_bit = write ? kDirty : 0;
 
   std::uint64_t hits = 0;
-  std::uint64_t clean = 0;
   std::uint64_t dirty = 0;
-  for (std::size_t block = first; block <= last; ++block) {
-    access_block(block, write, hits, clean, dirty);
+  // Divide once for the first block, then walk runs of consecutive sets:
+  // each wrap back to set 0 is the next tag.
+  std::size_t set = first % sets_;
+  auto tag = static_cast<std::uint32_t>(first / sets_);
+  for (std::uint64_t left = blocks; left > 0; set = 0, ++tag) {
+    const std::size_t run = std::min<std::uint64_t>(left, sets_ - set);
+    left -= run;
+    const std::uint32_t want = tag << 2 | kValid;
+    if (ways == 1) {
+      // Branch-free: the hit test, the dirty victim and the new word all
+      // come from the old word.
+      std::uint32_t* line = lines_.data() + set;
+      for (std::size_t i = 0; i < run; ++i) {
+        const std::uint32_t word = line[i];
+        const std::uint32_t hit = (word & ~kDirty) == want;
+        hits += hit;
+        dirty += (hit ^ 1) & (word >> 1);  // a miss on a dirty line
+        line[i] = (hit != 0 ? word : want) | dirty_bit;
+      }
+      continue;
+    }
+    for (std::size_t s = set; s < set + run; ++s) {
+      std::uint32_t* line = lines_.data() + s * ways;
+      std::uint64_t* stamp = stamps_.data() + s * ways;
+      bool hit = false;
+      std::size_t way = 0;  // the hit, else the victim
+      for (std::size_t w = 0; w < ways; ++w) {
+        if ((line[w] & ~kDirty) == want) {
+          hit = true;
+          way = w;
+          break;
+        }
+        if ((line[w] & kValid) == 0) {
+          way = w;  // prefer an invalid way
+        } else if ((line[way] & kValid) != 0 && stamp[w] < stamp[way]) {
+          way = w;
+        }
+      }
+      if (hit) {
+        ++hits;
+      } else {
+        dirty += (line[way] & kDirty) >> 1;
+        line[way] = want;
+      }
+      line[way] |= dirty_bit;
+      stamp[way] = ++tick_;
+    }
   }
-
-  const std::uint64_t blocks = last - first + 1;
+  const std::uint64_t clean = blocks - hits - dirty;
   const std::uint64_t misses = clean + dirty;
   stats_.accesses += blocks;
   stats_.hits += hits;
@@ -129,7 +149,7 @@ double DirectMappedCache::access(std::size_t addr, std::size_t bytes,
 }
 
 void DirectMappedCache::flush() {
-  for (auto& line : lines_) line = Line{};
+  std::fill(lines_.begin(), lines_.end(), 0u);
 }
 
 }  // namespace ca::twolm

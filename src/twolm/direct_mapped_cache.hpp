@@ -83,7 +83,9 @@ class DirectMappedCache {
 
   /// Model a CPU access to the physical range [addr, addr+bytes) of the
   /// NVRAM-backed address space.  Records traffic and returns the modeled
-  /// stall seconds (the caller charges them to its clock).
+  /// stall seconds (the caller charges them to its clock).  The range must
+  /// end below 2^30 x num_sets() blocks (2^30 x capacity when
+  /// direct-mapped), so every tag fits its 30-bit field.
   double access(std::size_t addr, std::size_t bytes, bool write);
 
   /// Invalidate all blocks (machine reboot between experiments).
@@ -93,28 +95,21 @@ class DirectMappedCache {
   void reset_stats() noexcept { stats_ = CacheStats{}; }
 
   [[nodiscard]] const CacheConfig& config() const noexcept { return config_; }
-  [[nodiscard]] std::size_t num_sets() const noexcept {
-    return lines_.size() / config_.ways;
-  }
+  [[nodiscard]] std::size_t num_sets() const noexcept { return sets_; }
 
  private:
-  struct Line {
-    std::uint64_t tag = 0;
-    std::uint64_t lru = 0;  ///< last-touch stamp for within-set LRU
-    bool valid = false;
-    bool dirty = false;
-  };
-
-  /// Touch one block; updates stats fields passed by reference.
-  void access_block(std::size_t block, bool write, std::uint64_t& hits,
-                    std::uint64_t& clean, std::uint64_t& dirty);
-
   CacheConfig config_;
   const sim::Platform& platform_;
   telemetry::TrafficCounters& counters_;
   sim::DeviceId fast_;
   sim::DeviceId slow_;
-  std::vector<Line> lines_;  ///< num_sets x ways, set-major
+  std::size_t sets_ = 0;
+  /// One word per line, num_sets x ways, set-major:
+  /// `tag << 2 | dirty << 1 | valid`.  A dirty line is always valid.
+  std::vector<std::uint32_t> lines_;
+  /// Last-touch stamp per line for within-set LRU; empty when ways == 1.
+  /// Read only for valid lines, so flush() leaves it alone.
+  std::vector<std::uint64_t> stamps_;
   std::uint64_t tick_ = 0;
 
   // Cached per-access bandwidth figures (constant per configuration).

@@ -85,16 +85,26 @@ TEST(Trainer, OccupancySamplingHooksIn) {
 TEST(Trainer, TwoLmModeCollectsCacheDeltas) {
   HarnessConfig c = sim_cfg();
   c.mode = Mode::kTwoLmNone;
+  c.dram_bytes = 6 * util::MiB;  // 98 304 sets, not a power of two
   Harness h(c);
   auto model = build_model(h.engine(), ModelSpec::vgg_tiny());
   Trainer trainer(h, *model);
   const auto a = trainer.run_iteration();
   const auto b = trainer.run_iteration();
-  EXPECT_GT(a.cache.accesses, 0u);
-  EXPECT_GT(b.cache.accesses, 0u);
-  // Per-iteration deltas, not cumulative: the second iteration is not
-  // twice the first.
-  EXPECT_LT(b.cache.accesses, 2 * a.cache.accesses);
+  // Per-iteration deltas, not cumulative.  The exact values pin the tag
+  // model on a real access stream.
+  EXPECT_EQ(a.cache.accesses, 1125u);
+  EXPECT_EQ(a.cache.hits, 793u);
+  EXPECT_EQ(a.cache.clean_misses, 332u);
+  EXPECT_EQ(a.cache.dirty_misses, 0u);
+  EXPECT_EQ(a.nvram.bytes_written, 0u);
+  EXPECT_DOUBLE_EQ(a.seconds, 0.0049670738002232139);
+  EXPECT_EQ(b.cache.accesses, 1125u);
+  EXPECT_EQ(b.cache.hits, 1125u);
+  EXPECT_EQ(b.cache.clean_misses, 0u);
+  EXPECT_EQ(b.cache.dirty_misses, 0u);
+  EXPECT_EQ(b.nvram.bytes_written, 0u);
+  EXPECT_DOUBLE_EQ(b.seconds, 0.0036644091796874971);
 }
 
 TEST(Trainer, BusUtilizationBounded) {

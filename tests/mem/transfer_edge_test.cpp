@@ -172,9 +172,13 @@ TEST_F(TransferEdgeTest, SyncRegionRealPathHoldsNoLockAcrossJoin) {
                   << b.site;
   }
   EXPECT_EQ(lockdep::report_count(), 0u);
-  // And the acquisition-order graph stayed empty of blocking-adjacent
-  // edges: no lock was nested inside the registry lock on either path.
-  EXPECT_TRUE(lockdep::edges().empty());
+  // And no lock was nested inside the registry lock on either path.  Other
+  // edges, such as the sanctioned objects_mu_ -> heap_mu_ nesting of
+  // allocate(), are the lock manifest's business.
+  for (const auto& e : lockdep::edges()) {
+    EXPECT_NE(e.from, "dm::DataManager::inflight_mu_")
+        << "-> " << e.to << " at " << e.site;
+  }
 }
 
 #endif  // CA_LOCKDEP_ENABLED

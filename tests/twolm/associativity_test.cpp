@@ -136,12 +136,15 @@ class CacheProperty
 
 TEST_P(CacheProperty, MatchesReferenceOnRandomStreams) {
   const auto [ways, seed] = GetParam();
+  // 192 blocks: 192/96/48/24 sets at 1/2/4/8 ways, none a power of two.
+  constexpr std::size_t kCapacity = 12 * util::KiB;
+  constexpr std::size_t kBlock = 64;
   sim::Platform platform =
-      sim::Platform::cascade_lake_scaled(4 * util::KiB, 64 * util::KiB);
+      sim::Platform::cascade_lake_scaled(kCapacity, 64 * util::KiB);
   telemetry::TrafficCounters counters;
   CacheConfig cfg;
-  cfg.capacity = 4 * util::KiB;
-  cfg.block_size = 64;
+  cfg.capacity = kCapacity;
+  cfg.block_size = kBlock;
   cfg.ways = ways;
   DirectMappedCache cache(cfg, platform, counters);
   ReferenceCache ref(cache.num_sets(), ways);
@@ -149,13 +152,21 @@ TEST_P(CacheProperty, MatchesReferenceOnRandomStreams) {
   util::Xoshiro256 rng(seed);
   std::uint64_t hits = 0, clean = 0, dirty = 0;
   for (int i = 0; i < 5000; ++i) {
-    const std::size_t block = rng.bounded(512);
+    // Byte ranges from one block to past the whole cache, so one call can
+    // wrap the set index and revisit sets.
+    const std::size_t addr = rng.bounded(4 * kCapacity);
+    const std::size_t span =
+        rng.uniform() < 0.5 ? 4 * kBlock : kCapacity + kCapacity / 2;
+    const std::size_t bytes = 1 + rng.bounded(span);
     const bool write = rng.uniform() < 0.4;
-    cache.access(block * 64, 64, write);
-    const auto [h, c, d] = ref.access(block, write);
-    hits += h;
-    clean += c;
-    dirty += d;
+    cache.access(addr, bytes, write);
+    for (std::size_t b = addr / kBlock; b <= (addr + bytes - 1) / kBlock;
+         ++b) {
+      const auto [h, c, d] = ref.access(b, write);
+      hits += h;
+      clean += c;
+      dirty += d;
+    }
     if (i % 500 == 0) {
       ASSERT_EQ(cache.stats().hits, hits) << "step " << i;
       ASSERT_EQ(cache.stats().clean_misses, clean) << "step " << i;
@@ -165,6 +176,9 @@ TEST_P(CacheProperty, MatchesReferenceOnRandomStreams) {
   EXPECT_EQ(cache.stats().hits, hits);
   EXPECT_EQ(cache.stats().clean_misses, clean);
   EXPECT_EQ(cache.stats().dirty_misses, dirty);
+  // The stream exercises all three outcomes.
+  EXPECT_GT(hits, 0u);
+  EXPECT_GT(dirty, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

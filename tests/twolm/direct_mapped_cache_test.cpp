@@ -157,6 +157,18 @@ TEST_F(CacheFixture, StatRatesSumToOne) {
               1e-12);
 }
 
+TEST_F(CacheFixture, TagsAboveThirtyBitsRejected) {
+  // A line keeps a 30-bit tag, so addresses stay below 2^30 x capacity.
+  auto c = make();
+  const std::size_t limit = (std::size_t{1} << 30) * 4 * util::KiB;
+  EXPECT_NO_THROW(c.access(limit - 64, 64, true));  // tag 2^30 - 1
+  c.access(limit - 64, 64, false);
+  EXPECT_EQ(c.stats().hits, 1u);
+  EXPECT_THROW(c.access(limit - 64, 65, false), InternalError);
+  EXPECT_THROW(c.access(limit, 1, false), InternalError);
+  EXPECT_EQ(c.stats().accesses, 2u);  // rejected before touching a line
+}
+
 TEST_F(CacheFixture, NonPow2BlockSizeRejected) {
   CacheConfig cfg;
   cfg.capacity = 4 * util::KiB;
