@@ -109,28 +109,6 @@ AuditReport verify(const mem::FreeListAllocator& alloc) {
                    ") but capacity is " + std::to_string(alloc.capacity()));
   }
 
-  // alloc.free-index -- the (size, offset) index must agree with the
-  // address-ordered map in both directions.
-  auto index = alloc.free_index_snapshot();
-  std::sort(walk_free.begin(), walk_free.end());
-  std::sort(index.begin(), index.end());
-  std::vector<std::pair<std::size_t, std::size_t>> missing, extra;
-  std::set_difference(walk_free.begin(), walk_free.end(), index.begin(),
-                      index.end(), std::back_inserter(missing));
-  std::set_difference(index.begin(), index.end(), walk_free.begin(),
-                      walk_free.end(), std::back_inserter(extra));
-  for (const auto& [size, off] : missing) {
-    report.add("alloc.free-index",
-               "free block " + std::to_string(off) + "+" +
-                   std::to_string(size) + " missing from the size index");
-  }
-  for (const auto& [size, off] : extra) {
-    report.add("alloc.free-index",
-               "index entry (" + std::to_string(size) + ", " +
-                   std::to_string(off) +
-                   ") does not match any free block");
-  }
-
   // alloc.accounting -- cached counters must match the walk.
   const auto stats = alloc.stats();
   const auto expect = [&report](std::size_t got, std::size_t want,
@@ -149,22 +127,53 @@ AuditReport verify(const mem::FreeListAllocator& alloc) {
 
   // alloc.bin-membership -- every free block of the walk is reachable from
   // exactly one size-class bin, and that bin is its size class; no bin
-  // holds anything that is not a free block.
+  // holds anything that is not a free block.  Each entry's own bin field
+  // names the list holding it, its bin_prev link names the entry before it,
+  // the bin's tail names its last entry, and no allocated block keeps a bin
+  // field or bin links.
   const auto bins = alloc.bin_snapshot();
   std::vector<std::pair<std::size_t, std::size_t>> binned;  // (size, off)
   for (const auto& bin : bins) {
+    std::optional<std::size_t> prev;
     for (const auto& e : bin.entries) {
       binned.emplace_back(e.size, e.offset);
+      const auto where = [&] {
+        return "free block " + std::to_string(e.offset) + "+" +
+               std::to_string(e.size) + " in bin " + std::to_string(bin.bin);
+      };
       const std::size_t want = alloc.bin_of(e.size);
       if (bin.bin != want) {
         report.add("alloc.bin-membership",
-                   "free block " + std::to_string(e.offset) + "+" +
-                       std::to_string(e.size) + " filed under bin " +
-                       std::to_string(bin.bin) + " but its size class is " +
+                   where() + ", but its size class is " +
                        std::to_string(want));
       }
+      if (e.bin != bin.bin) {
+        report.add("alloc.bin-membership",
+                   where() + ", but its bin field names " +
+                       std::to_string(e.bin));
+      }
+      if (e.prev_offset != prev) {
+        report.add("alloc.bin-membership",
+                   where() + ": its bin_prev link does not name the entry "
+                             "before it");
+      }
+      prev = e.offset;
+    }
+    if (bin.tail_offset != prev) {
+      report.add("alloc.bin-membership",
+                 "bin " + std::to_string(bin.bin) +
+                     ": its tail does not name its last entry");
     }
   }
+  const auto tags = alloc.boundary_snapshot();
+  for (const auto& t : tags) {
+    if (t.allocated && t.binned) {
+      report.add("alloc.bin-membership",
+                 "allocated block " + std::to_string(t.offset) +
+                     " still carries a bin field or bin links");
+    }
+  }
+  std::sort(walk_free.begin(), walk_free.end());
   std::sort(binned.begin(), binned.end());
   for (std::size_t i = 1; i < binned.size(); ++i) {
     if (binned[i] == binned[i - 1]) {
@@ -239,9 +248,9 @@ AuditReport verify(const mem::FreeListAllocator& alloc) {
 
   // alloc.boundary-tags -- the offset-index + neighbour-link view of every
   // block must mirror the address-order walk: same block set, and each
-  // block's prev/next links name exactly its address neighbours.  A torn
-  // link would send free()'s O(1) coalesce to the wrong block.
-  const auto tags = alloc.boundary_snapshot();
+  // block's prev/next links name exactly its address neighbours, which link
+  // back to it.  A torn link would send free()'s O(1) coalesce to the wrong
+  // block.
   if (tags.size() != blocks.size()) {
     report.add("alloc.boundary-tags",
                "boundary view has " + std::to_string(tags.size()) +
@@ -273,7 +282,7 @@ AuditReport verify(const mem::FreeListAllocator& alloc) {
           i + 1 == tags.size()
               ? !t.next_offset.has_value()
               : t.next_offset == std::optional(blocks[i + 1].offset);
-      if (!prev_ok || !next_ok) {
+      if (!prev_ok || !next_ok || !t.links_mutual) {
         report.add("alloc.boundary-tags",
                    "block " + std::to_string(t.offset) +
                        " neighbour links do not match the tiling");
@@ -493,6 +502,16 @@ AuditReport verify(const dm::DataManager& dm) {
         report.add("dm.device-slot",
                    label + ": " + region_label(*region) +
                        " parent back-pointer points elsewhere");
+      }
+      // dm.tenant.resident -- a linked region is charged to its object's
+      // tenant, so the per-tenant sums above bill the right tenant.
+      if (region->tenant() != object.tenant()) {
+        report.add("dm.tenant.resident",
+                   label + ": " + region_label(*region) +
+                       " charged to tenant " +
+                       std::to_string(region->tenant().value) +
+                       " but the object belongs to tenant " +
+                       std::to_string(object.tenant().value));
       }
       // dm.region-size -- a linked region can hold the whole object.
       if (region->size() < object.size()) {

@@ -1,7 +1,7 @@
 // ca::audit -- the invariant-audit subsystem.
 //
 // The paper's data manager (§III-C) is only correct while a strict set of
-// invariants holds: the heap tiling, the free-index, the exactly-one-primary
+// invariants holds: the heap tiling, the free bins, the exactly-one-primary
 // rule, the one-region-per-device rule, pin discipline, and dirty-bit
 // synchronization between sibling regions.  The policy layer drives
 // aggressive movement, eviction and compaction against exactly this
@@ -9,10 +9,11 @@
 // caught mechanically.
 //
 // `verify()` re-derives every invariant from scratch by walking the public
-// read-only surface of the allocator / data manager -- deliberately NOT
-// reusing the structures' own internal checks -- and returns a structured
+// read-only views of the allocator / data manager, and returns a structured
 // AuditReport listing each violation by stable name (catalogued with paper
 // references in docs/INVARIANTS.md).  It never throws and never mutates.
+// It is the only invariant checker: the structures carry no checks of
+// their own, and tests assert a clean report (tests/audit_clean.hpp).
 //
 // Debug builds run the audit automatically at every DataManager mutation
 // boundary via the CA_AUDIT() macro (see dm/audit_hook.hpp); install the
@@ -63,13 +64,14 @@ class AuditReport {
   std::vector<Violation> violations_;
 };
 
-/// Audit one allocator: tiling, alignment, coalescing, free-index agreement,
-/// counter accounting.
+/// Audit one allocator: tiling, alignment, coalescing, bin membership and
+/// order, the bin and block-start bitmaps, boundary tags, counter accounting.
 [[nodiscard]] AuditReport verify(const mem::FreeListAllocator& alloc);
 
 /// Audit a data manager: every device allocator plus the cross-structure
 /// invariants (cookie round-trips, primary uniqueness, device slots, pin
-/// discipline, dirty-sibling consistency, async ready times).
+/// discipline, dirty-sibling consistency, async ready times, tenant
+/// accounting).
 [[nodiscard]] AuditReport verify(const dm::DataManager& dm);
 
 /// While alive, CA_AUDIT() runs the full audit and, on the first violation,

@@ -789,76 +789,4 @@ bool DataManager::owns_region(const Region* region) const noexcept {
   return regions_.find(const_cast<Region*>(region)) != regions_.end();
 }
 
-void DataManager::check_invariants() const {
-  // Snapshot the in-flight registry before taking the table locks:
-  // inflight_mu_ is a leaf and must not nest under objects_mu_.
-  const auto inflight = inflight_transfers();
-
-  sync::lock lock(objects_mu_);
-  sync::lock heap_lock(heap_mu_);
-
-  std::size_t blocks_with_regions = 0;
-  for (std::size_t d = 0; d < heaps_.size(); ++d) {
-    const auto& h = *heaps_[d];
-    h.alloc->check_invariants();
-    std::array<std::size_t, kMaxTenants> resident{};
-    for (const auto& b : h.alloc->blocks()) {
-      if (!b.allocated) continue;
-      ++blocks_with_regions;
-      const auto* region = static_cast<const Region*>(b.cookie);
-      CA_CHECK(region != nullptr, "allocated block without a region cookie");
-      CA_CHECK(regions_.count(const_cast<Region*>(region)) == 1,
-               "block cookie does not point at a live region");
-      CA_CHECK(region->offset() == b.offset, "region/block offset mismatch");
-      CA_CHECK(region->device().value == d, "region/block device mismatch");
-      CA_CHECK(util::align_up(region->size(), h.alloc->alignment()) == b.size,
-               "region/block size mismatch");
-      CA_CHECK(region->tenant().value < kMaxTenants,
-               "region charged to an out-of-range tenant");
-      resident[region->tenant().value] += b.size;
-    }
-    // dm.tenant.resident / dm.tenant.quota: the lock-free accounting must
-    // agree with the heap, and never overrun a set quota.
-    for (std::size_t t = 0; t < kMaxTenants; ++t) {
-      const std::size_t acct =
-          tenants_[t].resident[d].load(std::memory_order_relaxed);
-      CA_CHECK(resident[t] == acct,
-               "per-tenant resident bytes disagree with the heap");
-      const std::size_t quota =
-          tenants_[t].quota[d].load(std::memory_order_relaxed);
-      CA_CHECK(quota == 0 || acct <= quota,
-               "tenant resident bytes exceed its quota");
-    }
-  }
-  CA_CHECK(blocks_with_regions == regions_.size(),
-           "region count does not match allocated block count");
-
-  for (const auto& t : inflight) {
-    CA_CHECK(t.transfer.valid(), "in-flight registry entry without a handle");
-    CA_CHECK(regions_.count(t.dst) == 1,
-             "in-flight transfer destination is not a live region");
-    CA_CHECK(regions_.count(t.src) == 1,
-             "in-flight transfer source is not a live region");
-  }
-
-  for (const auto& [ptr, owned] : objects_) {
-    const Object& object = *owned;
-    CA_CHECK(ptr == owned.get(), "object map key mismatch");
-    bool primary_found = object.primary() == nullptr;
-    for (std::size_t d = 0; d < Object::kMaxDevices; ++d) {
-      const Region* region = object.regions_[d];
-      if (region == nullptr) continue;
-      CA_CHECK(region->parent() == &object,
-               "region parent back-pointer broken");
-      CA_CHECK(region->device().value == d, "region filed on wrong device");
-      CA_CHECK(region->size() >= object.size(),
-               "region smaller than its object");
-      CA_CHECK(region->tenant() == object.tenant(),
-               "region and parent object tenant mismatch");
-      if (region == object.primary()) primary_found = true;
-    }
-    CA_CHECK(primary_found, "object primary is not among its regions");
-  }
-}
-
 }  // namespace ca::dm

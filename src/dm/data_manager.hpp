@@ -318,12 +318,6 @@ class DataManager {
     return defragmenting_.load(std::memory_order_relaxed);
   }
 
-  /// Verify cross-structure invariants (allocator tiling, region/block
-  /// agreement, object/region back-pointers, the fast-primary invariant is
-  /// policy-level and not checked here).  For tests.  `audit::verify` is the
-  /// exhaustive, non-throwing counterpart that returns a structured report.
-  void check_invariants() const;
-
   // --- Read-only introspection (the ca::audit library and tests) ----------
 
   /// The offset-space allocator backing `dev`'s heap.

@@ -453,13 +453,17 @@ std::vector<FreeListAllocator::BinView> FreeListAllocator::bin_snapshot()
     const {
   std::vector<BinView> out;
   for (std::size_t b = 0; b < kBinCount; ++b) {
-    if (bins_[b].head == kNil) continue;
+    const BinList& bl = bins_[b];
+    if (bl.head == kNil && bl.tail == kNil) continue;
     BinView v;
     v.bin = b;
     v.min_bytes = bin_min_bytes(b);
-    for (std::uint32_t i = bins_[b].head; i != kNil;
-         i = nodes_[i].bin_next) {
-      v.entries.push_back({nodes_[i].offset, nodes_[i].size});
+    if (bl.tail != kNil) v.tail_offset = nodes_[bl.tail].offset;
+    for (std::uint32_t i = bl.head; i != kNil; i = nodes_[i].bin_next) {
+      const Node& n = nodes_[i];
+      BinEntry e{n.offset, n.size, n.bin, std::nullopt};
+      if (n.bin_prev != kNil) e.prev_offset = nodes_[n.bin_prev].offset;
+      v.entries.push_back(e);
     }
     out.push_back(std::move(v));
   }
@@ -483,6 +487,9 @@ FreeListAllocator::boundary_snapshot() const {
     const std::size_t u = off >> shift_;
     t.start_bit =
         (start_bits_[u >> 6] & (std::uint64_t{1} << (u & 63))) != 0;
+    t.binned = n.bin != kNoBin || n.bin_prev != kNil || n.bin_next != kNil;
+    t.links_mutual = (n.prev == kNil || nodes_[n.prev].next == i) &&
+                     (n.next == kNil || nodes_[n.next].prev == i);
     if (n.prev != kNil) t.prev_offset = nodes_[n.prev].offset;
     if (n.next != kNil) t.next_offset = nodes_[n.next].offset;
     out.push_back(t);
@@ -515,97 +522,6 @@ std::vector<FreeListAllocator::BinOccupancy> FreeListAllocator::bin_occupancy()
     out.push_back({b, bin_min_bytes(b), blocks, bin_hits_[b]});
   }
   return out;
-}
-
-// --- invariants -------------------------------------------------------------
-
-void FreeListAllocator::check_invariants() const {
-  // Address-order walk: tiling, alignment, coalescing, link mutuality,
-  // index and start-bitmap agreement, byte accounting.
-  std::size_t expected_offset = 0;
-  std::size_t free_bytes = 0;
-  std::size_t alloc_bytes = 0;
-  std::size_t alloc_blocks = 0;
-  std::size_t free_blocks = 0;
-  std::size_t walk_blocks = 0;
-  bool prev_free = false;
-  std::uint32_t prev = kNil;
-  for (std::uint32_t i = head_; i != kNil; i = nodes_[i].next) {
-    const Node& n = nodes_[i];
-    CA_CHECK(n.offset == expected_offset, "blocks do not tile the heap");
-    CA_CHECK(n.size > 0, "zero-sized block");
-    CA_CHECK(util::is_aligned(n.offset, alignment_),
-             "misaligned block offset");
-    CA_CHECK(util::is_aligned(n.size, alignment_), "misaligned block size");
-    CA_CHECK(n.prev == prev, "address-order prev link broken");
-    const auto it = index_.find(n.offset);
-    CA_CHECK(it != index_.end() && it->second == i,
-             "offset index out of sync");
-    const std::size_t u = n.offset >> shift_;
-    CA_CHECK((start_bits_[u >> 6] & (std::uint64_t{1} << (u & 63))) != 0,
-             "block start missing from the start bitmap");
-    if (n.allocated) {
-      CA_CHECK(n.bin == kNoBin && n.bin_prev == kNil && n.bin_next == kNil,
-               "allocated block threaded through a bin");
-      alloc_bytes += n.size;
-      ++alloc_blocks;
-      prev_free = false;
-    } else {
-      CA_CHECK(!prev_free, "two adjacent free blocks (missed coalesce)");
-      CA_CHECK(n.bin == bin_for_units(n.size >> shift_),
-               "free block filed under the wrong size class");
-      free_bytes += n.size;
-      ++free_blocks;
-      prev_free = true;
-    }
-    ++walk_blocks;
-    expected_offset = n.offset + n.size;
-    prev = i;
-  }
-  CA_CHECK(expected_offset == capacity_, "blocks do not cover the heap");
-  CA_CHECK(walk_blocks == index_.size(),
-           "offset index size does not match the walk");
-  CA_CHECK(start_bit_count() == walk_blocks,
-           "start bitmap population does not match the block count");
-  CA_CHECK(alloc_bytes == allocated_bytes_, "allocated byte count drifted");
-  CA_CHECK(alloc_blocks == allocated_blocks_,
-           "allocated block count drifted");
-  CA_CHECK(free_blocks == free_blocks_, "free block count drifted");
-  CA_CHECK(free_bytes + alloc_bytes == capacity_, "byte accounting drifted");
-
-  // Bin walk: membership, per-fit ordering, link mutuality, bitmap.
-  std::size_t binned_blocks = 0;
-  for (std::size_t b = 0; b < kBinCount; ++b) {
-    const BinList& bl = bins_[b];
-    const bool bit =
-        (bin_bitmap_[b >> 6] & (std::uint64_t{1} << (b & 63))) != 0;
-    CA_CHECK(bit == (bl.head != kNil),
-             "bin bitmap disagrees with bin occupancy");
-    std::uint32_t bprev = kNil;
-    for (std::uint32_t i = bl.head; i != kNil; i = nodes_[i].bin_next) {
-      const Node& n = nodes_[i];
-      CA_CHECK(!n.allocated, "allocated block reachable from a bin");
-      CA_CHECK(n.bin == b, "bin field disagrees with the list holding it");
-      CA_CHECK(bin_for_units(n.size >> shift_) == b,
-               "bin holds a block of a different size class");
-      CA_CHECK(n.bin_prev == bprev, "bin prev link broken");
-      if (bprev != kNil) {
-        const Node& p = nodes_[bprev];
-        if (fit_ == Fit::kFirstFit) {
-          CA_CHECK(p.offset < n.offset, "first-fit bin not address-ordered");
-        } else {
-          CA_CHECK(p.size < n.size ||
-                       (p.size == n.size && p.offset < n.offset),
-                   "best-fit bin not (size, offset)-ordered");
-        }
-      }
-      ++binned_blocks;
-      bprev = i;
-    }
-    CA_CHECK(bl.tail == bprev, "bin tail out of sync");
-  }
-  CA_CHECK(binned_blocks == free_blocks_,
-           "bins do not hold exactly the free blocks");
 }
 
 }  // namespace ca::mem

@@ -161,16 +161,9 @@ class FreeListAllocator {
 
   [[nodiscard]] Stats stats() const;
 
-  /// Verify structural invariants (blocks tile [0, capacity) exactly, no
-  /// two adjacent free blocks, bins/bitmaps/links consistent).  Throws
-  /// InternalError on violation.  Used by the property-based test suite.
-  /// `audit::verify` is the non-throwing counterpart that returns a
-  /// structured report.
-  void check_invariants() const;
-
   /// The (size, offset) entries of the free-block bins, sorted by
-  /// (size, offset).  Read-only view for the ca::audit library, which
-  /// cross-checks the bins against the address-ordered tiling.
+  /// (size, offset): the shape of ReferenceAllocator's free index, so the
+  /// differential test can compare the two.
   [[nodiscard]] std::vector<std::pair<std::size_t, std::size_t>>
   free_index_snapshot() const;
 
@@ -201,20 +194,24 @@ class FreeListAllocator {
 
   // --- audit views over the binned internals ------------------------------
 
-  /// One (offset, size) entry of a bin's free list.
+  /// One entry of a bin's free list: the node's (offset, size), the bin its
+  /// own `bin` field names, and the node its `bin_prev` link names.
   struct BinEntry {
     std::size_t offset = 0;
     std::size_t size = 0;
+    std::size_t bin = 0;  ///< the node's own `bin` field
+    std::optional<std::size_t> prev_offset;  ///< what `bin_prev` names
   };
 
-  /// One occupied bin, entries in list order (head to tail).
+  /// One bin, entries in list order (head to tail).
   struct BinView {
     std::size_t bin = 0;
     std::size_t min_bytes = 0;  ///< smallest size this bin may hold
+    std::optional<std::size_t> tail_offset;  ///< what the bin's tail names
     std::vector<BinEntry> entries;
   };
 
-  /// All occupied bins, ascending bin index.
+  /// Every bin whose head or tail is set, ascending bin index.
   [[nodiscard]] std::vector<BinView> bin_snapshot() const;
 
   /// The bin-occupancy bitmap words (bit b of word w covers bin 64*w+b).
@@ -229,6 +226,8 @@ class FreeListAllocator {
     std::size_t size = 0;
     bool allocated = false;
     bool start_bit = false;  ///< block start marked in the start bitmap
+    bool binned = false;  ///< node carries a bin field or bin links
+    bool links_mutual = false;  ///< each neighbour links back to this node
     std::optional<std::size_t> prev_offset;  ///< address-order neighbours
     std::optional<std::size_t> next_offset;
   };

@@ -186,38 +186,4 @@ ReferenceAllocator::Stats ReferenceAllocator::stats() const {
   return s;
 }
 
-void ReferenceAllocator::check_invariants() const {
-  std::size_t expected_offset = 0;
-  std::size_t free_bytes = 0;
-  std::size_t alloc_bytes = 0;
-  std::size_t alloc_blocks = 0;
-  std::size_t free_blocks = 0;
-  bool prev_free = false;
-  for (const auto& [off, b] : blocks_) {
-    CA_CHECK(off == expected_offset, "blocks do not tile the heap");
-    CA_CHECK(b.size > 0, "zero-sized block");
-    CA_CHECK(util::is_aligned(off, alignment_), "misaligned block offset");
-    CA_CHECK(util::is_aligned(b.size, alignment_), "misaligned block size");
-    if (b.allocated) {
-      alloc_bytes += b.size;
-      ++alloc_blocks;
-      prev_free = false;
-    } else {
-      CA_CHECK(!prev_free, "two adjacent free blocks (missed coalesce)");
-      CA_CHECK(free_index_.count({b.size, off}) == 1,
-               "free block missing from the size index");
-      free_bytes += b.size;
-      ++free_blocks;
-      prev_free = true;
-    }
-    expected_offset = off + b.size;
-  }
-  CA_CHECK(expected_offset == capacity_, "blocks do not cover the heap");
-  CA_CHECK(alloc_bytes == allocated_bytes_, "allocated byte count drifted");
-  CA_CHECK(alloc_blocks == allocated_blocks_, "allocated block count drifted");
-  CA_CHECK(free_blocks == free_index_.size(),
-           "free index size does not match free block count");
-  CA_CHECK(free_bytes + alloc_bytes == capacity_, "byte accounting drifted");
-}
-
 }  // namespace ca::mem

@@ -89,7 +89,6 @@ class ReferenceAllocator {
       std::size_t from) const;
 
   [[nodiscard]] Stats stats() const;
-  void check_invariants() const;
   [[nodiscard]] std::vector<std::pair<std::size_t, std::size_t>>
   free_index_snapshot() const;
 

@@ -73,23 +73,21 @@ struct AllocatorTestPeer {
   /// Swap the first two entries of the first bin holding at least two
   /// blocks, breaking the order the fit policy relies on.
   static void reorder_bin_entries(FreeListAllocator& a) {
-    for (auto& bl : a.bins_) {
-      if (bl.head == kNil || a.nodes_[bl.head].bin_next == kNil) continue;
-      const std::uint32_t first = bl.head;
-      const std::uint32_t second = a.nodes_[first].bin_next;
-      bl.head = second;
-      a.nodes_[second].bin_prev = kNil;
-      a.nodes_[first].bin_next = a.nodes_[second].bin_next;
-      if (a.nodes_[first].bin_next != kNil) {
-        a.nodes_[a.nodes_[first].bin_next].bin_prev = first;
-      } else {
-        bl.tail = first;
-      }
-      a.nodes_[second].bin_next = first;
-      a.nodes_[first].bin_prev = second;
-      return;
+    const std::size_t b = bin_with_two_entries(a);
+    ASSERT_LT(b, FreeListAllocator::kBinCount) << "no bin holds two blocks";
+    auto& bl = a.bins_[b];
+    const std::uint32_t first = bl.head;
+    const std::uint32_t second = a.nodes_[first].bin_next;
+    bl.head = second;
+    a.nodes_[second].bin_prev = kNil;
+    a.nodes_[first].bin_next = a.nodes_[second].bin_next;
+    if (a.nodes_[first].bin_next != kNil) {
+      a.nodes_[a.nodes_[first].bin_next].bin_prev = first;
+    } else {
+      bl.tail = first;
     }
-    FAIL() << "no bin holds two blocks";
+    a.nodes_[second].bin_next = first;
+    a.nodes_[first].bin_prev = second;
   }
 
   /// Clear the occupancy bit of the first occupied bin (hides its blocks
@@ -121,6 +119,17 @@ struct AllocatorTestPeer {
       }
     }
     FAIL() << "heap has a single block";
+  }
+
+  /// Point the second block's prev link at a recycled node.  The dead
+  /// node's offset is 0, like the true neighbour's, so only link mutuality
+  /// tells them apart (free() would coalesce into the dead node).
+  static void link_prev_to_dead_node(FreeListAllocator& a) {
+    const std::uint32_t second = a.nodes_[a.head_].next;
+    ASSERT_NE(second, kNil) << "heap has a single block";
+    const std::uint32_t dead = a.new_node();
+    a.recycle_node(dead);
+    a.nodes_[second].prev = dead;
   }
 
   /// Drop a block start from the start bitmap (for_blocks_from would skip
@@ -177,6 +186,70 @@ struct AllocatorTestPeer {
     FAIL() << "no allocated block large enough to shrink";
   }
 
+  /// Move the boundary between an allocated block and the free block after
+  /// it by half an alignment unit: the tiling stays gap-free, but both
+  /// blocks are now misaligned.
+  static void misalign_block_boundary(FreeListAllocator& a) {
+    for (std::uint32_t i = a.head_; i != kNil; i = a.nodes_[i].next) {
+      const std::uint32_t nx = a.nodes_[i].next;
+      if (!a.nodes_[i].allocated || nx == kNil || a.nodes_[nx].allocated) {
+        continue;
+      }
+      const std::size_t half = a.alignment_ / 2;
+      a.nodes_[i].size += half;
+      a.nodes_[nx].offset += half;
+      a.nodes_[nx].size -= half;
+      return;
+    }
+    FAIL() << "no allocated block followed by a free one";
+  }
+
+  /// The first bin whose list holds at least two blocks, or kBinCount.
+  static std::size_t bin_with_two_entries(const FreeListAllocator& a) {
+    for (std::size_t b = 0; b < FreeListAllocator::kBinCount; ++b) {
+      const std::uint32_t h = a.bins_[b].head;
+      if (h != kNil && a.nodes_[h].bin_next != kNil) return b;
+    }
+    return FreeListAllocator::kBinCount;
+  }
+
+  /// Clear the bin_prev link of a bin's second entry (a torn back link:
+  /// unlinking that entry would then overwrite the bin's head).
+  static void tear_bin_prev_link(FreeListAllocator& a) {
+    const std::size_t b = bin_with_two_entries(a);
+    ASSERT_LT(b, FreeListAllocator::kBinCount) << "no bin holds two blocks";
+    a.nodes_[a.nodes_[a.bins_[b].head].bin_next].bin_prev = kNil;
+  }
+
+  /// Point a two-entry bin's tail at its head (a stale tail: bin_link walks
+  /// back from it and would file the next block out of order).
+  static void stale_bin_tail(FreeListAllocator& a) {
+    const std::size_t b = bin_with_two_entries(a);
+    ASSERT_LT(b, FreeListAllocator::kBinCount) << "no bin holds two blocks";
+    a.bins_[b].tail = a.bins_[b].head;
+  }
+
+  /// Leave a bin field on an allocated block, as an allocate() that
+  /// skipped bin_unlink's clean-up would.
+  static void stale_bin_on_allocated_block(FreeListAllocator& a) {
+    for (std::uint32_t i = a.head_; i != kNil; i = a.nodes_[i].next) {
+      if (a.nodes_[i].allocated) {
+        a.nodes_[i].bin = 0;
+        return;
+      }
+    }
+    FAIL() << "no allocated block";
+  }
+
+  /// Change a free block's bin field without moving it to another list
+  /// (bin_unlink would then unlink it from the wrong bin).
+  static void wrong_bin_field_on_free_block(FreeListAllocator& a) {
+    const std::uint32_t i = first_free_node(a);
+    ASSERT_NE(i, kNil) << "no free block";
+    a.nodes_[i].bin = static_cast<std::uint16_t>(
+        (a.nodes_[i].bin + 1) % FreeListAllocator::kBinCount);
+  }
+
   static void drift_allocated_bytes(FreeListAllocator& a) {
     a.allocated_bytes_ += a.alignment_;
   }
@@ -218,6 +291,29 @@ struct DataManagerTestPeer {
   static Object* swap_region_parent(Region& region, Object* bogus) {
     Object* prev = region.parent_;
     region.parent_ = bogus;
+    return prev;
+  }
+
+  /// Move the object to another tenant without touching its regions;
+  /// returns the previous tenant.
+  static TenantId swap_object_tenant(Object& object, TenantId tenant) {
+    const TenantId prev = object.tenant_;
+    object.tenant_ = tenant;
+    return prev;
+  }
+
+  /// Resize the object without touching its regions; returns the previous
+  /// size.
+  static std::size_t swap_object_size(Object& object, std::size_t size) {
+    const std::size_t prev = object.size_;
+    object.size_ = size;
+    return prev;
+  }
+
+  /// Move a region's async completion time; returns the previous one.
+  static double swap_ready_at(Region& region, double ready_at) {
+    const double prev = region.ready_at_;
+    region.ready_at_ = ready_at;
     return prev;
   }
 
@@ -270,6 +366,15 @@ class AllocatorAuditFixture : public ::testing::Test {
     alloc_.free(b_);
   }
 
+  /// File two free blocks of the same size into one exact bin: allocate
+  /// five same-size blocks and free two non-adjacent ones.
+  void file_two_blocks_in_one_bin() {
+    std::size_t off[5];
+    for (auto& o : off) o = *alloc_.allocate(1024);
+    alloc_.free(off[1]);
+    alloc_.free(off[3]);
+  }
+
   FreeListAllocator alloc_;
   std::size_t a_ = 0, b_ = 0, c_ = 0, d_ = 0;
 };
@@ -283,14 +388,14 @@ TEST_F(AllocatorAuditFixture, DroppedFreeIndexEntryIsNamed) {
   AllocatorTestPeer::drop_free_index_entry(alloc_);
   const auto report = audit::verify(alloc_);
   ASSERT_FALSE(report.ok());
-  EXPECT_TRUE(report.has("alloc.free-index")) << report.to_string();
+  EXPECT_TRUE(report.has("alloc.bin-membership")) << report.to_string();
 }
 
 TEST_F(AllocatorAuditFixture, ForgedFreeIndexEntryIsNamed) {
   AllocatorTestPeer::forge_free_index_entry(alloc_, 4096, a_);
   const auto report = audit::verify(alloc_);
   ASSERT_FALSE(report.ok());
-  EXPECT_TRUE(report.has("alloc.free-index")) << report.to_string();
+  EXPECT_TRUE(report.has("alloc.bin-membership")) << report.to_string();
 }
 
 TEST_F(AllocatorAuditFixture, MissedCoalesceIsNamed) {
@@ -341,12 +446,7 @@ TEST_F(AllocatorAuditFixture, ForgedBinEntryIsNamedAsMembership) {
 }
 
 TEST_F(AllocatorAuditFixture, OutOfOrderBinIsNamed) {
-  // Two free blocks of the same size land in one exact bin: allocate five
-  // same-size blocks and free two non-adjacent ones.
-  std::size_t off[5];
-  for (auto& o : off) o = *alloc_.allocate(1024);
-  alloc_.free(off[1]);
-  alloc_.free(off[3]);
+  file_two_blocks_in_one_bin();
   ASSERT_TRUE(audit::verify(alloc_).ok());
   AllocatorTestPeer::reorder_bin_entries(alloc_);
   const auto report = audit::verify(alloc_);
@@ -378,6 +478,14 @@ TEST_F(AllocatorAuditFixture, TornNeighbourLinkIsNamed) {
   EXPECT_TRUE(report.has("alloc.boundary-tags")) << report.to_string();
 }
 
+TEST_F(AllocatorAuditFixture, PrevLinkToDeadNodeIsNamed) {
+  ASSERT_TRUE(audit::verify(alloc_).ok());
+  AllocatorTestPeer::link_prev_to_dead_node(alloc_);
+  const auto report = audit::verify(alloc_);
+  ASSERT_FALSE(report.ok());
+  EXPECT_TRUE(report.has("alloc.boundary-tags")) << report.to_string();
+}
+
 TEST_F(AllocatorAuditFixture, DroppedStartBitIsNamed) {
   ASSERT_TRUE(audit::verify(alloc_).ok());
   AllocatorTestPeer::clear_start_bit_of_block(alloc_);
@@ -386,12 +494,58 @@ TEST_F(AllocatorAuditFixture, DroppedStartBitIsNamed) {
   EXPECT_TRUE(report.has("alloc.boundary-tags")) << report.to_string();
 }
 
+TEST_F(AllocatorAuditFixture, MisalignedBlockIsNamed) {
+  ASSERT_TRUE(audit::verify(alloc_).ok());
+  AllocatorTestPeer::misalign_block_boundary(alloc_);
+  const auto report = audit::verify(alloc_);
+  ASSERT_FALSE(report.ok());
+  EXPECT_TRUE(report.has("alloc.block-align")) << report.to_string();
+}
+
+// The list-link and bin-field corruptions below leave every bin's entry
+// set, order and bitmap bit intact, so only the per-entry checks of
+// alloc.bin-membership can see them.
+
+TEST_F(AllocatorAuditFixture, TornBinPrevLinkIsNamed) {
+  file_two_blocks_in_one_bin();
+  ASSERT_TRUE(audit::verify(alloc_).ok());
+  AllocatorTestPeer::tear_bin_prev_link(alloc_);
+  const auto report = audit::verify(alloc_);
+  ASSERT_FALSE(report.ok());
+  EXPECT_TRUE(report.has("alloc.bin-membership")) << report.to_string();
+}
+
+TEST_F(AllocatorAuditFixture, StaleBinTailIsNamed) {
+  file_two_blocks_in_one_bin();
+  ASSERT_TRUE(audit::verify(alloc_).ok());
+  AllocatorTestPeer::stale_bin_tail(alloc_);
+  const auto report = audit::verify(alloc_);
+  ASSERT_FALSE(report.ok());
+  EXPECT_TRUE(report.has("alloc.bin-membership")) << report.to_string();
+}
+
+TEST_F(AllocatorAuditFixture, StaleBinFieldOnAllocatedBlockIsNamed) {
+  ASSERT_TRUE(audit::verify(alloc_).ok());
+  AllocatorTestPeer::stale_bin_on_allocated_block(alloc_);
+  const auto report = audit::verify(alloc_);
+  ASSERT_FALSE(report.ok());
+  EXPECT_TRUE(report.has("alloc.bin-membership")) << report.to_string();
+}
+
+TEST_F(AllocatorAuditFixture, WrongBinFieldOnFreeBlockIsNamed) {
+  ASSERT_TRUE(audit::verify(alloc_).ok());
+  AllocatorTestPeer::wrong_bin_field_on_free_block(alloc_);
+  const auto report = audit::verify(alloc_);
+  ASSERT_FALSE(report.ok());
+  EXPECT_TRUE(report.has("alloc.bin-membership")) << report.to_string();
+}
+
 TEST_F(AllocatorAuditFixture, ReportListsEveryViolationNotJustTheFirst) {
   AllocatorTestPeer::drop_free_index_entry(alloc_);
   AllocatorTestPeer::drift_allocated_bytes(alloc_);
   const auto report = audit::verify(alloc_);
   EXPECT_GE(report.violations().size(), 2u);
-  EXPECT_TRUE(report.has("alloc.free-index"));
+  EXPECT_TRUE(report.has("alloc.bin-membership"));
   EXPECT_TRUE(report.has("alloc.accounting"));
 }
 
@@ -610,7 +764,87 @@ TEST_F(DmAuditFixture, PinnedObjectOnDefragmentingDeviceIsNamed) {
   dm_.destroy_object(obj);
 }
 
+// --- object / region structure ---------------------------------------------
+
+TEST_F(DmAuditFixture, LinkedRegionsWithoutPrimaryAreNamed) {
+  dm::Object* obj = dm_.create_object(4096, "headless");
+  dm::Region* r = dm_.allocate(sim::kFast, 4096);
+  dm_.setprimary(*obj, *r);
+  ASSERT_TRUE(audit::verify(dm_).ok());
+  dm::Region* saved = dm::DataManagerTestPeer::swap_primary(*obj, nullptr);
+  const auto report = audit::verify(dm_);
+  ASSERT_FALSE(report.ok());
+  EXPECT_TRUE(report.has("dm.primary")) << report.to_string();
+  dm::DataManagerTestPeer::swap_primary(*obj, saved);
+  EXPECT_TRUE(audit::verify(dm_).ok());
+  dm_.destroy_object(obj);
+}
+
+TEST_F(DmAuditFixture, ForeignParentBackPointerIsNamed) {
+  dm::Object* obj = dm_.create_object(4096, "owner");
+  dm::Region* r = dm_.allocate(sim::kFast, 4096);
+  dm_.setprimary(*obj, *r);
+  dm::Object* other = dm_.create_object(4096, "other");
+  ASSERT_TRUE(audit::verify(dm_).ok());
+  dm::Object* saved = dm::DataManagerTestPeer::swap_region_parent(*r, other);
+  const auto report = audit::verify(dm_);
+  ASSERT_FALSE(report.ok());
+  EXPECT_TRUE(report.has("dm.device-slot")) << report.to_string();
+  dm::DataManagerTestPeer::swap_region_parent(*r, saved);
+  EXPECT_TRUE(audit::verify(dm_).ok());
+  dm_.destroy_object(other);
+  dm_.destroy_object(obj);
+}
+
+TEST_F(DmAuditFixture, RegionSmallerThanItsObjectIsNamed) {
+  dm::Object* obj = dm_.create_object(4096, "grown");
+  dm::Region* r = dm_.allocate(sim::kFast, 4096);
+  dm_.setprimary(*obj, *r);
+  ASSERT_TRUE(audit::verify(dm_).ok());
+  const std::size_t saved =
+      dm::DataManagerTestPeer::swap_object_size(*obj, 8192);
+  const auto report = audit::verify(dm_);
+  ASSERT_FALSE(report.ok());
+  EXPECT_TRUE(report.has("dm.region-size")) << report.to_string();
+  dm::DataManagerTestPeer::swap_object_size(*obj, saved);
+  EXPECT_TRUE(audit::verify(dm_).ok());
+  dm_.destroy_object(obj);
+}
+
+TEST_F(DmAuditFixture, ReadyAtPastTheMoverHorizonIsNamed) {
+  dm::Region* r = dm_.allocate(sim::kFast, 4096);
+  ASSERT_NE(r, nullptr);
+  ASSERT_TRUE(audit::verify(dm_).ok());
+  const double saved = dm::DataManagerTestPeer::swap_ready_at(
+      *r, dm_.mover_busy_until() + 1.0);
+  const auto report = audit::verify(dm_);
+  ASSERT_FALSE(report.ok());
+  EXPECT_TRUE(report.has("dm.ready-at")) << report.to_string();
+  dm::DataManagerTestPeer::swap_ready_at(*r, saved);
+  EXPECT_TRUE(audit::verify(dm_).ok());
+  dm_.free(r);
+}
+
 // --- dm.tenant.* invariants -------------------------------------------------
+
+TEST_F(DmAuditFixture, RegionChargedToAnotherTenantIsNamed) {
+  const dm::TenantId t = dm_.register_tenant("owner");
+  dm::Object* obj = dm_.create_object(4096, "billed", t);
+  dm::Region* r = dm_.allocate(sim::kFast, 4096, t);
+  dm_.setprimary(*obj, *r);
+  ASSERT_TRUE(audit::verify(dm_).ok());
+  // Corruption: the object moves to the default tenant while its region
+  // stays charged to `t`.  Every counter still matches the region sums, so
+  // only the per-region tenant check sees the wrong bill.
+  const dm::TenantId saved =
+      dm::DataManagerTestPeer::swap_object_tenant(*obj, dm::TenantId{});
+  const auto report = audit::verify(dm_);
+  ASSERT_FALSE(report.ok());
+  EXPECT_TRUE(report.has("dm.tenant.resident")) << report.to_string();
+  dm::DataManagerTestPeer::swap_object_tenant(*obj, saved);
+  EXPECT_TRUE(audit::verify(dm_).ok());
+  dm_.destroy_object(obj);
+}
 
 TEST_F(DmAuditFixture, SkewedTenantResidentIsNamed) {
   const dm::TenantId t = dm_.register_tenant("audited");

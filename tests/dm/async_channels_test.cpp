@@ -9,6 +9,7 @@
 
 #include <cstring>
 
+#include "audit_clean.hpp"
 #include "dm/data_manager.hpp"
 #include "util/align.hpp"
 
@@ -209,7 +210,7 @@ TEST_F(AsyncChannelsFixture, ConcurrentScheduleWaitFreeDefragInterleavings) {
       }
       dm_.free(srcs[i]);
     }
-    dm_.check_invariants();
+    ASSERT_AUDIT_CLEAN(dm_);
   }
   dm_.drain_transfers();
   EXPECT_EQ(dm_.async_stats().scheduled, kRounds * kSlots);

@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "audit_clean.hpp"
 #include "dm/data_manager.hpp"
 #include "util/align.hpp"
 #include "util/error.hpp"
@@ -163,15 +164,15 @@ TEST_F(DmApiFixture, InvariantsHoldAfterMixedWorkload) {
     dm_.setprimary(*obj, *r);
     objects.push_back(obj);
   }
-  dm_.check_invariants();
+  ASSERT_AUDIT_CLEAN(dm_);
   for (std::size_t i = 0; i < objects.size(); i += 2) {
     dm_.destroy_object(objects[i]);
   }
-  dm_.check_invariants();
+  ASSERT_AUDIT_CLEAN(dm_);
   for (std::size_t i = 1; i < objects.size(); i += 2) {
     dm_.destroy_object(objects[i]);
   }
-  dm_.check_invariants();
+  ASSERT_AUDIT_CLEAN(dm_);
   EXPECT_EQ(dm_.live_objects(), 0u);
   EXPECT_EQ(dm_.live_regions(), 0u);
 }

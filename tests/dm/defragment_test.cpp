@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "audit_clean.hpp"
 #include "dm/data_manager.hpp"
 #include "util/align.hpp"
 #include "util/error.hpp"
@@ -49,7 +50,7 @@ TEST_F(DefragFixture, CompactsFragmentedHeap) {
   const auto after = dm_.device_stats(sim::kFast);
   EXPECT_EQ(after.largest_free_block, after.free_bytes);
   EXPECT_DOUBLE_EQ(after.fragmentation, 0.0);
-  dm_.check_invariants();
+  ASSERT_AUDIT_CLEAN(dm_);
 
   // Contents preserved and regions updated.
   Region* ra = dm_.getprimary(*a);
@@ -67,7 +68,7 @@ TEST_F(DefragFixture, CompactsFragmentedHeap) {
 TEST_F(DefragFixture, EmptyHeapIsNoop) {
   dm_.defragment(sim::kFast);
   EXPECT_DOUBLE_EQ(clock_.now(), 0.0);
-  dm_.check_invariants();
+  ASSERT_AUDIT_CLEAN(dm_);
 }
 
 TEST_F(DefragFixture, AlreadyCompactHeapMovesNothing) {

@@ -8,6 +8,7 @@
 #include <map>
 #include <vector>
 
+#include "audit_clean.hpp"
 #include "dm/data_manager.hpp"
 #include "util/align.hpp"
 #include "util/rng.hpp"
@@ -107,18 +108,18 @@ TEST_P(DmProperty, RandomApiWorkloadKeepsInvariantsAndData) {
     }
 
     if (step % 60 == 0) {
-      dm.check_invariants();
+      ASSERT_AUDIT_CLEAN(dm);
       for (const auto& l : live) check_data(l);
     }
   }
 
-  dm.check_invariants();
+  ASSERT_AUDIT_CLEAN(dm);
   for (const auto& l : live) check_data(l);
   for (const auto& l : live) dm.destroy_object(l.object);
   EXPECT_EQ(dm.live_objects(), 0u);
   EXPECT_EQ(dm.live_regions(), 0u);
   EXPECT_EQ(dm.resident_bytes(), 0u);
-  dm.check_invariants();
+  ASSERT_AUDIT_CLEAN(dm);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -13,7 +13,7 @@
 #include <thread>
 #include <vector>
 
-#include "audit/audit.hpp"
+#include "audit_clean.hpp"
 #include "dm/data_manager.hpp"
 #include "race/sync.hpp"
 #include "sim/platform.hpp"
@@ -274,9 +274,7 @@ TEST_F(MultitenantFixture, ConcurrentTenantsKeepTheBooksBalanced) {
   }
   EXPECT_EQ(dm_.live_objects(), 0u);
   EXPECT_EQ(dm_.live_regions(), 0u);
-  dm_.check_invariants();
-  const auto report = audit::verify(dm_);
-  EXPECT_TRUE(report.ok()) << report.to_string();
+  ASSERT_AUDIT_CLEAN(dm_);
 }
 
 TEST_F(MultitenantFixture, ConcurrentRegistrationStaysWithinTheCap) {

@@ -3,6 +3,7 @@
 // remain fully usable afterwards -- exceptions here are recoverable.
 #include <gtest/gtest.h>
 
+#include "audit_clean.hpp"
 #include "core/cached_array.hpp"
 #include "core/kernel_launch.hpp"
 #include "dnn/harness.hpp"
@@ -34,7 +35,7 @@ TEST(FailureInjection, SlowTierExhaustionThrowsOomAndRecovers) {
   rt.gc_collect();
   core::CachedArray<float> ok(rt, 64 * 1024);
   EXPECT_TRUE(ok.valid());
-  rt.manager().check_invariants();
+  ASSERT_AUDIT_CLEAN(rt.manager());
 }
 
 TEST(FailureInjection, UseAfterRetireIsTypedError) {
@@ -74,7 +75,7 @@ TEST(FailureInjection, DataManagerMisuseIsRejected) {
   dm.destroy_object(b);
   EXPECT_THROW(dm.destroy_object(b), UsageError);
   dm.destroy_object(a);
-  dm.check_invariants();
+  ASSERT_AUDIT_CLEAN(dm);
 }
 
 TEST(FailureInjection, EvictfromWithNullCallbackRejected) {
@@ -147,7 +148,7 @@ TEST(FailureInjection, GcDuringPressureLeavesConsistentState) {
   }
   EXPECT_GE(rt.gc_stats().pressure_triggers, 1u);
   rt.gc_collect();
-  rt.manager().check_invariants();
+  ASSERT_AUDIT_CLEAN(rt.manager());
   EXPECT_EQ(rt.manager().live_objects(), 0u);
 }
 

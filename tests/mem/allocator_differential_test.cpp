@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "audit_clean.hpp"
 #include "mem/freelist_allocator.hpp"
 #include "mem/reference_allocator.hpp"
 #include "util/align.hpp"
@@ -113,13 +114,11 @@ void run_differential(FreeListAllocator::Fit nfit, ReferenceAllocator::Fit rfit,
     }
 
     if ((step & 1023) == 0) {
-      neu.check_invariants();
-      ref.check_invariants();
+      ASSERT_AUDIT_CLEAN(neu);
       expect_same_tiling(neu, ref, step);
     }
   }
-  neu.check_invariants();
-  ref.check_invariants();
+  ASSERT_AUDIT_CLEAN(neu);
   expect_same_tiling(neu, ref, steps);
 }
 
@@ -164,7 +163,7 @@ TEST(AllocatorDifferential, TinyHeapHighChurn) {
       live[pick] = live.back();
       live.pop_back();
     }
-    neu.check_invariants();
+    ASSERT_AUDIT_CLEAN(neu);
   }
   expect_same_tiling(neu, ref, 20000);
 }

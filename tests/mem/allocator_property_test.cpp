@@ -7,6 +7,7 @@
 #include <map>
 #include <vector>
 
+#include "audit_clean.hpp"
 #include "mem/freelist_allocator.hpp"
 #include "util/align.hpp"
 #include "util/rng.hpp"
@@ -50,13 +51,15 @@ TEST_P(AllocatorProperty, RandomWorkloadPreservesInvariants) {
       a.free(it->first);
       live.erase(it);
     }
-    if (step % 200 == 0) a.check_invariants();
+    if (step % 200 == 0) {
+      ASSERT_AUDIT_CLEAN(a);
+    }
   }
-  a.check_invariants();
+  ASSERT_AUDIT_CLEAN(a);
 
   // Free everything: the heap must return to a single free block.
   for (const auto& [off, size] : live) a.free(off);
-  a.check_invariants();
+  ASSERT_AUDIT_CLEAN(a);
   EXPECT_EQ(a.blocks().size(), 1u);
   EXPECT_EQ(a.stats().free_bytes, a.capacity());
   EXPECT_EQ(a.stats().allocated_blocks, 0u);

@@ -4,6 +4,7 @@
 
 #include <limits>
 
+#include "audit_clean.hpp"
 #include "util/align.hpp"
 #include "util/error.hpp"
 
@@ -79,7 +80,7 @@ TEST(FreeList, FreeCoalescesWithNext) {
   a.free(*y);  // y merges with trailing free space
   a.free(*x);  // x merges with the rest -> single free block
   EXPECT_EQ(a.blocks().size(), 1u);
-  a.check_invariants();
+  ASSERT_AUDIT_CLEAN(a);
 }
 
 TEST(FreeList, FreeCoalescesWithPrev) {
@@ -95,7 +96,7 @@ TEST(FreeList, FreeCoalescesWithPrev) {
   ASSERT_EQ(blocks.size(), 3u);
   EXPECT_FALSE(blocks[0].allocated);
   EXPECT_EQ(blocks[0].size, 2048u);
-  a.check_invariants();
+  ASSERT_AUDIT_CLEAN(a);
 }
 
 TEST(FreeList, FreeCoalescesBothSides) {
@@ -108,7 +109,7 @@ TEST(FreeList, FreeCoalescesBothSides) {
   a.free(*z);  // z merges with trailing free space
   a.free(*y);  // y bridges both sides -> one free block
   EXPECT_EQ(a.blocks().size(), 1u);
-  a.check_invariants();
+  ASSERT_AUDIT_CLEAN(a);
 }
 
 TEST(FreeList, DoubleFreeThrows) {
@@ -160,7 +161,7 @@ TEST(FreeList, FragmentationMetric) {
   const auto s = a.stats();
   EXPECT_EQ(s.largest_free_block, 1024u);
   EXPECT_GT(s.fragmentation(), 0.9);
-  a.check_invariants();
+  ASSERT_AUDIT_CLEAN(a);
 }
 
 TEST(FreeList, BestFitPicksTightestHole) {
@@ -175,7 +176,7 @@ TEST(FreeList, BestFitPicksTightestHole) {
   const auto fit = a.allocate(1024);
   ASSERT_TRUE(fit);
   EXPECT_EQ(*fit, *a3);  // chose the 1 KiB hole, not the 4 KiB one
-  a.check_invariants();
+  ASSERT_AUDIT_CLEAN(a);
 }
 
 TEST(FreeList, ForBlocksFromStartsAtContainingBlock) {
@@ -242,13 +243,13 @@ TEST(FreeList, NearMaxRequestFailsInsteadOfWrapping) {
   EXPECT_EQ(a.allocate(max - 1), std::nullopt);
   EXPECT_EQ(a.allocate(max - 63), std::nullopt);
   EXPECT_EQ(a.allocate(kCap + 1), std::nullopt);
-  a.check_invariants();
+  ASSERT_AUDIT_CLEAN(a);
   EXPECT_EQ(a.stats().failed_allocs, 4u);
   // The heap is still fully usable afterwards.
   const auto x = a.allocate(kCap);
   ASSERT_TRUE(x.has_value());
   a.free(*x);
-  a.check_invariants();
+  ASSERT_AUDIT_CLEAN(a);
 }
 
 }  // namespace

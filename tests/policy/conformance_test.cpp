@@ -7,6 +7,7 @@
 #include <cstring>
 #include <functional>
 
+#include "audit_clean.hpp"
 #include "dm/data_manager.hpp"
 #include "policy/adaptive_policy.hpp"
 #include "policy/lru_policy.hpp"
@@ -248,7 +249,7 @@ TEST_P(PolicyConformance, StagedArgsKeepTheirPrimaryUntilEndKernel) {
   destroy(a);
   destroy(b);
   for (auto* o : filler) destroy(o);
-  dm_.check_invariants();
+  ASSERT_AUDIT_CLEAN(dm_);
 }
 
 TEST_P(PolicyConformance, SurvivesChurnWithInvariantsIntact) {
@@ -260,7 +261,7 @@ TEST_P(PolicyConformance, SurvivesChurnWithInvariantsIntact) {
         live.push_back(make_object(8 * util::KiB + rng.bounded(56) * 1024));
       } catch (const OutOfMemoryError&) {
         // Single-tier policies may genuinely fill up; that is contractual.
-        dm_.check_invariants();
+        ASSERT_AUDIT_CLEAN(dm_);
       }
     } else {
       const std::size_t i = rng.bounded(live.size());
@@ -278,7 +279,7 @@ TEST_P(PolicyConformance, SurvivesChurnWithInvariantsIntact) {
       }
     }
   }
-  dm_.check_invariants();
+  ASSERT_AUDIT_CLEAN(dm_);
   for (auto* o : live) destroy(o);
   EXPECT_EQ(dm_.live_objects(), 0u);
 }

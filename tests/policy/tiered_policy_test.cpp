@@ -7,6 +7,7 @@
 
 #include <cstring>
 
+#include "audit_clean.hpp"
 #include "dm/data_manager.hpp"
 #include "util/align.hpp"
 #include "util/error.hpp"
@@ -99,7 +100,7 @@ TEST_F(TieredFixture, DataSurvivesFullCascade) {
   for (std::size_t i = 0; i < probe->size(); i += 1001) {
     ASSERT_EQ(std::to_integer<unsigned>(r->data()[i]), 0xCDu);
   }
-  dm_.check_invariants();
+  ASSERT_AUDIT_CLEAN(dm_);
   dm_.destroy_object(probe);
   for (auto* o : pressure) dm_.destroy_object(o);
 }

@@ -24,7 +24,7 @@ TEST(MultitenantRace, InstrumentationRequired) {
 #include <thread>
 #include <vector>
 
-#include "audit/audit.hpp"
+#include "audit_clean.hpp"
 #include "dm/data_manager.hpp"
 #include "race/access.hpp"
 #include "race/explorer.hpp"
@@ -115,9 +115,7 @@ void concurrent_tenants_scenario() {
       ASSERT_EQ(resident, 0u);
     }
   }
-  dm.check_invariants();
-  const auto report = audit::verify(dm);
-  ASSERT_TRUE(report.ok()) << report.to_string();
+  ASSERT_AUDIT_CLEAN(dm);
 }
 
 /// Cross-tenant eviction shape: tenant B's thread writes its region's

@@ -36,7 +36,7 @@ Eight rules that clang-tidy cannot express, enforced over src/:
       The binned free lists thread intrusive ``bin_next``/``bin_prev``
       links through allocator nodes; every write to those links must stay
       inside src/mem/freelist_allocator.cpp (the list owner), where
-      check_invariants() and ca::audit can vouch for them.  Other src/
+      ca::audit can vouch for them through the bin views.  Other src/
       code reads the allocator through its public views only -- a stray
       link write elsewhere would bypass the bin bitmap and the membership
       invariants.

@@ -18,16 +18,13 @@
 #            build (ctest -R lockdep — unit, hazard, and graph tests), the
 #            checker self-tests, the manifest-vs-annotations and
 #            manifest-vs-runtime-graph diffs (tools/lockdep_check.py with
-#            the CA_LOCKDEP_DUMP emitted by the graph test), and the
-#            generated lock table in docs/CONCURRENCY.md
-#            (tools/gen_lock_table.py --check).
+#            the CA_LOCKDEP_DUMP emitted by the graph test).
 #   ptrprov  pointer-provenance gate: the ca::ptrprov suite on the CA_RACE
 #            build (ctest -R ptrprov — runtime, hazard-explorer, and
 #            sanctioned-route tests), the checker self-tests, the manifest
 #            vs source vs runtime-observed-site diffs
 #            (tools/ptrprov_check.py with the CA_PTRPROV_DUMP emitted by
-#            the route test), and the generated provenance table in
-#            docs/CONCURRENCY.md (tools/gen_prov_table.py --check).
+#            the route test).
 #   multitenant  shared-manager concurrency gate: the multi-tenant suite
 #            (semantics + per-tenant accounting + plain-thread concurrency,
 #            tests/dm/multitenant_test.cpp) under the ASan build and the
@@ -179,9 +176,6 @@ if selected lockdep; then
     if ! python3 tools/lockdep_check.py --graph "$LOCKDEP_DUMP" | annotate; then
       fail=1
     fi
-    if ! python3 tools/gen_lock_table.py --check; then
-      fail=1
-    fi
   else
     skip lockdep "python3 not installed"
   fi
@@ -210,9 +204,6 @@ if selected ptrprov; then
         ctest -R 'ptrprov\.PtrprovRoutes\.DumpObservedSitesWhenRequested' \
         --output-on-failure )
     if ! python3 tools/ptrprov_check.py --runtime "$PTRPROV_DUMP" | annotate; then
-      fail=1
-    fi
-    if ! python3 tools/gen_prov_table.py --check; then
       fail=1
     fi
   else
