@@ -1,6 +1,7 @@
 #include "twolm/direct_mapped_cache.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 #include "util/align.hpp"
 #include "util/error.hpp"
@@ -33,8 +34,11 @@ DirectMappedCache::DirectMappedCache(const CacheConfig& config,
   CA_CHECK(blocks % config_.ways == 0,
            "capacity/block_size must be a multiple of the associativity");
   sets_ = blocks / config_.ways;
-  lines_.assign(blocks, 0);
-  if (config_.ways > 1) stamps_.assign(blocks, 0);
+  if (config_.ways > 1) {
+    lines_.assign(blocks, 0);
+    stamps_.assign(blocks, 0);
+  }
+  flush();
 
   const std::size_t t = config_.kernel_threads;
   const auto& dram = platform_.spec(fast_);
@@ -74,16 +78,7 @@ double DirectMappedCache::access(std::size_t addr, std::size_t bytes,
     left -= run;
     const std::uint32_t want = tag << 2 | kValid;
     if (ways == 1) {
-      // Branch-free: the hit test, the dirty victim and the new word all
-      // come from the old word.
-      std::uint32_t* line = lines_.data() + set;
-      for (std::size_t i = 0; i < run; ++i) {
-        const std::uint32_t word = line[i];
-        const std::uint32_t hit = (word & ~kDirty) == want;
-        hits += hit;
-        dirty += (hit ^ 1) & (word >> 1);  // a miss on a dirty line
-        line[i] = (hit != 0 ? word : want) | dirty_bit;
-      }
+      walk_runs(set, run, want, dirty_bit, hits, dirty);
       continue;
     }
     for (std::size_t s = set; s < set + run; ++s) {
@@ -148,8 +143,50 @@ double DirectMappedCache::access(std::size_t addr, std::size_t bytes,
              (1.0 / nvram_writeback_bw_ + 1.0 / dram_bw_);
 }
 
+DirectMappedCache::RunMap::iterator DirectMappedCache::split(
+    std::size_t set) {
+  if (set == sets_) return runs_.end();
+  auto it = std::prev(runs_.upper_bound(set));
+  if (it->first == set) return it;
+  const Run tail = it->second;
+  it->second.end = set;
+  return runs_.emplace_hint(std::next(it), set, tail);
+}
+
+void DirectMappedCache::walk_runs(std::size_t set, std::size_t len,
+                                  std::uint32_t want, std::uint32_t dirty_bit,
+                                  std::uint64_t& hits, std::uint64_t& dirty) {
+  const auto begin = split(set);
+  const auto stop = split(set + len);
+  // Every set of a run holds the same word, so one run is one outcome.
+  for (auto it = begin; it != stop; ++it) {
+    Run& r = it->second;
+    const std::size_t n = r.end - it->first;
+    if ((r.word & ~kDirty) == want) {
+      hits += n;
+      r.word |= dirty_bit;
+    } else {
+      dirty += (r.word & kDirty) != 0 ? n : 0;  // misses on dirty lines
+      r.word = want | dirty_bit;
+    }
+  }
+  // Merge equal neighbours, from the run before the range through `stop`.
+  auto it = begin == runs_.begin() ? begin : std::prev(begin);
+  for (auto next = std::next(it); next != runs_.end(); next = std::next(it)) {
+    const bool last = next == stop;
+    if (next->second.word == it->second.word) {
+      it->second.end = next->second.end;
+      runs_.erase(next);
+    } else {
+      it = next;
+    }
+    if (last) break;
+  }
+}
+
 void DirectMappedCache::flush() {
   std::fill(lines_.begin(), lines_.end(), 0u);
+  if (config_.ways == 1) runs_ = {{0, Run{sets_, 0}}};
 }
 
 }  // namespace ca::twolm

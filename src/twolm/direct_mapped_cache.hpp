@@ -20,6 +20,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <map>
 #include <vector>
 
 #include "sim/platform.hpp"
@@ -98,14 +99,36 @@ class DirectMappedCache {
   [[nodiscard]] std::size_t num_sets() const noexcept { return sets_; }
 
  private:
+  /// Sets [key, end) all holding one line word.
+  struct Run {
+    std::size_t end;
+    std::uint32_t word;
+  };
+  using RunMap = std::map<std::size_t, Run>;
+
+  /// Split the run holding `set` so that a run starts there, and return
+  /// it; end() when `set` is num_sets().
+  RunMap::iterator split(std::size_t set);
+  /// Apply one access to sets [set, set+len), all wanting the line word
+  /// `want`; adds the sets that hit and the misses on dirty lines.
+  void walk_runs(std::size_t set, std::size_t len, std::uint32_t want,
+                 std::uint32_t dirty_bit, std::uint64_t& hits,
+                 std::uint64_t& dirty);
+
   CacheConfig config_;
   const sim::Platform& platform_;
   telemetry::TrafficCounters& counters_;
   sim::DeviceId fast_;
   sim::DeviceId slow_;
   std::size_t sets_ = 0;
-  /// One word per line, num_sets x ways, set-major:
-  /// `tag << 2 | dirty << 1 | valid`.  A dirty line is always valid.
+  /// A line word is `tag << 2 | dirty << 1 | valid`; a dirty line is
+  /// always valid.
+  /// Direct-mapped (ways == 1): the words keyed by each run's first set.
+  /// The runs tile [0, sets_) and no two neighbours hold the same word.
+  /// Whole-tensor accesses keep it to a few hundred runs.
+  RunMap runs_;
+  /// Set-associative (ways > 1): one word per line, num_sets x ways,
+  /// set-major.
   std::vector<std::uint32_t> lines_;
   /// Last-touch stamp per line for within-set LRU; empty when ways == 1.
   /// Read only for valid lines, so flush() leaves it alone.

@@ -384,20 +384,6 @@ TEST_F(AllocatorAuditFixture, CleanHeapAuditsClean) {
   EXPECT_TRUE(report.ok()) << report.to_string();
 }
 
-TEST_F(AllocatorAuditFixture, DroppedFreeIndexEntryIsNamed) {
-  AllocatorTestPeer::drop_free_index_entry(alloc_);
-  const auto report = audit::verify(alloc_);
-  ASSERT_FALSE(report.ok());
-  EXPECT_TRUE(report.has("alloc.bin-membership")) << report.to_string();
-}
-
-TEST_F(AllocatorAuditFixture, ForgedFreeIndexEntryIsNamed) {
-  AllocatorTestPeer::forge_free_index_entry(alloc_, 4096, a_);
-  const auto report = audit::verify(alloc_);
-  ASSERT_FALSE(report.ok());
-  EXPECT_TRUE(report.has("alloc.bin-membership")) << report.to_string();
-}
-
 TEST_F(AllocatorAuditFixture, MissedCoalesceIsNamed) {
   AllocatorTestPeer::split_free_block(alloc_);
   const auto report = audit::verify(alloc_);

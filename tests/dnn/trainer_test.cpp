@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+
 #include "dnn/models.hpp"
 #include "util/align.hpp"
 
@@ -105,6 +108,40 @@ TEST(Trainer, TwoLmModeCollectsCacheDeltas) {
   EXPECT_EQ(b.cache.dirty_misses, 0u);
   EXPECT_EQ(b.nvram.bytes_written, 0u);
   EXPECT_DOUBLE_EQ(b.seconds, 0.0036644091796874971);
+}
+
+TEST(Trainer, TwoLmModesPinDirtyMisses) {
+  // resnet_tiny overflows both caches, so conflict misses find dirty lines
+  // and write them back, in both 2LM modes.
+  struct Pin {
+    std::uint64_t accesses, hits, clean, dirty, nvram_written;
+    double seconds;
+  };
+  const auto check = [](Mode mode, std::size_t dram_bytes,
+                        const std::array<Pin, 2>& iterations) {
+    HarnessConfig c = sim_cfg();
+    c.mode = mode;
+    c.dram_bytes = dram_bytes;
+    c.nvram_bytes = 96 * util::MiB;
+    Harness h(c);
+    auto model = build_model(h.engine(), ModelSpec::resnet_tiny());
+    Trainer trainer(h, *model);
+    for (const Pin& want : iterations) {
+      const auto m = trainer.run_iteration();
+      EXPECT_EQ(m.cache.accesses, want.accesses);
+      EXPECT_EQ(m.cache.hits, want.hits);
+      EXPECT_EQ(m.cache.clean_misses, want.clean);
+      EXPECT_EQ(m.cache.dirty_misses, want.dirty);
+      EXPECT_EQ(m.nvram.bytes_written, want.nvram_written);
+      EXPECT_DOUBLE_EQ(m.seconds, want.seconds);
+    }
+  };
+  check(Mode::kTwoLmNone, 48 * util::KiB,  // 768 sets
+        {{{4160, 2757, 938, 465, 29760, 0.019949616140403397},
+          {4160, 3336, 125, 699, 44736, 0.02104584555389356}}});
+  check(Mode::kTwoLmM, 16 * util::KiB,
+        {{{4160, 2818, 526, 816, 52224, 0.021242338818116317},
+          {4160, 2944, 312, 904, 57856, 0.022014569312120369}}});
 }
 
 TEST(Trainer, BusUtilizationBounded) {

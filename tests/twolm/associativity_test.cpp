@@ -1,9 +1,10 @@
-// Tests for the set-associative extension of the 2LM cache model, plus a
-// property test checking the simulator against an independent reference
-// implementation on random access streams.
+// Tests for the set-associative extension of the 2LM cache model, plus
+// property tests checking the simulator against an independent reference
+// implementation on random, tensor-shaped and scattered access streams.
 #include <gtest/gtest.h>
 
-#include <map>
+#include <array>
+#include <string>
 #include <vector>
 
 #include "twolm/direct_mapped_cache.hpp"
@@ -93,7 +94,7 @@ TEST_F(AssocFixture, InvalidGeometryRejected) {
   EXPECT_THROW(DirectMappedCache(cfg, platform_, counters_), ca::InternalError);
 }
 
-// --- property test against a reference model ------------------------------
+// --- property tests against a reference model -----------------------------
 
 /// A deliberately simple reference: per-set vector of (tag, dirty) in LRU
 /// order, no stats trickery, no bandwidth model.
@@ -124,10 +125,73 @@ class ReferenceCache {
     return {false, !dirty_evict, dirty_evict};
   }
 
+  void flush() {
+    for (auto& set : lines_) set.clear();
+  }
+
  private:
   std::size_t sets_;
   std::size_t ways_;
   std::vector<std::vector<std::pair<std::uint64_t, bool>>> lines_;
+};
+
+// 192 blocks: 192/96/48/24 sets at 1/2/4/8 ways, none a power of two.
+constexpr std::size_t kCapacity = 12 * util::KiB;
+constexpr std::size_t kBlock = 64;
+constexpr std::size_t kHeap = 4 * kCapacity;
+
+/// The simulator and the reference side by side; every access compares
+/// their running stats.
+class Lockstep {
+ public:
+  explicit Lockstep(std::size_t ways)
+      : platform_(sim::Platform::cascade_lake_scaled(kCapacity, kHeap)),
+        cache_(config(ways), platform_, counters_),
+        ref_(cache_.num_sets(), ways) {}
+
+  ::testing::AssertionResult access(std::size_t addr, std::size_t bytes,
+                                    bool write) {
+    cache_.access(addr, bytes, write);
+    for (std::size_t b = addr / kBlock; b <= (addr + bytes - 1) / kBlock;
+         ++b) {
+      const auto [h, c, d] = ref_.access(b, write);
+      hits_ += h;
+      clean_ += c;
+      dirty_ += d;
+    }
+    const auto& s = cache_.stats();
+    if (s.hits == hits_ && s.clean_misses == clean_ &&
+        s.dirty_misses == dirty_) {
+      return ::testing::AssertionSuccess();
+    }
+    return ::testing::AssertionFailure()
+           << "hits/clean/dirty " << s.hits << "/" << s.clean_misses << "/"
+           << s.dirty_misses << ", reference " << hits_ << "/" << clean_
+           << "/" << dirty_;
+  }
+
+  void flush() {
+    cache_.flush();
+    ref_.flush();
+  }
+
+  [[nodiscard]] std::uint64_t hits() const { return hits_; }
+  [[nodiscard]] std::uint64_t dirty() const { return dirty_; }
+
+ private:
+  static CacheConfig config(std::size_t ways) {
+    CacheConfig cfg;
+    cfg.capacity = kCapacity;
+    cfg.block_size = kBlock;
+    cfg.ways = ways;
+    return cfg;
+  }
+
+  sim::Platform platform_;
+  telemetry::TrafficCounters counters_;
+  DirectMappedCache cache_;
+  ReferenceCache ref_;
+  std::uint64_t hits_ = 0, clean_ = 0, dirty_ = 0;
 };
 
 class CacheProperty
@@ -136,49 +200,21 @@ class CacheProperty
 
 TEST_P(CacheProperty, MatchesReferenceOnRandomStreams) {
   const auto [ways, seed] = GetParam();
-  // 192 blocks: 192/96/48/24 sets at 1/2/4/8 ways, none a power of two.
-  constexpr std::size_t kCapacity = 12 * util::KiB;
-  constexpr std::size_t kBlock = 64;
-  sim::Platform platform =
-      sim::Platform::cascade_lake_scaled(kCapacity, 64 * util::KiB);
-  telemetry::TrafficCounters counters;
-  CacheConfig cfg;
-  cfg.capacity = kCapacity;
-  cfg.block_size = kBlock;
-  cfg.ways = ways;
-  DirectMappedCache cache(cfg, platform, counters);
-  ReferenceCache ref(cache.num_sets(), ways);
-
+  Lockstep lock(ways);
   util::Xoshiro256 rng(seed);
-  std::uint64_t hits = 0, clean = 0, dirty = 0;
   for (int i = 0; i < 5000; ++i) {
     // Byte ranges from one block to past the whole cache, so one call can
     // wrap the set index and revisit sets.
-    const std::size_t addr = rng.bounded(4 * kCapacity);
+    const std::size_t addr = rng.bounded(kHeap);
     const std::size_t span =
         rng.uniform() < 0.5 ? 4 * kBlock : kCapacity + kCapacity / 2;
     const std::size_t bytes = 1 + rng.bounded(span);
     const bool write = rng.uniform() < 0.4;
-    cache.access(addr, bytes, write);
-    for (std::size_t b = addr / kBlock; b <= (addr + bytes - 1) / kBlock;
-         ++b) {
-      const auto [h, c, d] = ref.access(b, write);
-      hits += h;
-      clean += c;
-      dirty += d;
-    }
-    if (i % 500 == 0) {
-      ASSERT_EQ(cache.stats().hits, hits) << "step " << i;
-      ASSERT_EQ(cache.stats().clean_misses, clean) << "step " << i;
-      ASSERT_EQ(cache.stats().dirty_misses, dirty) << "step " << i;
-    }
+    ASSERT_TRUE(lock.access(addr, bytes, write)) << "step " << i;
   }
-  EXPECT_EQ(cache.stats().hits, hits);
-  EXPECT_EQ(cache.stats().clean_misses, clean);
-  EXPECT_EQ(cache.stats().dirty_misses, dirty);
   // The stream exercises all three outcomes.
-  EXPECT_GT(hits, 0u);
-  EXPECT_GT(dirty, 0u);
+  EXPECT_GT(lock.hits(), 0u);
+  EXPECT_GT(lock.dirty(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -193,6 +229,53 @@ INSTANTIATE_TEST_SUITE_P(
       return "ways" + std::to_string(info.param.first) + "_seed" +
              std::to_string(info.param.second);
     });
+
+class StreamProperty : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(StreamProperty, TensorStreamMatchesReference) {
+  // The trainers' shape: a fixed set of tensors, each read or written
+  // whole.  Sizes run from one block to 1.5x the cache, each size once
+  // block-aligned and once starting and ending mid-block.
+  Lockstep lock(GetParam());
+  util::Xoshiro256 rng(7);
+  constexpr std::size_t kBlocks[] = {1, 3, 17, 64, 192, 288};
+  std::vector<std::pair<std::size_t, std::size_t>> tensors;
+  for (std::size_t i = 0; i < 24; ++i) {
+    const std::size_t odd = i / 6 % 2;
+    const std::size_t bytes =
+        kBlocks[i % 6] * kBlock - odd * (1 + rng.bounded(kBlock - 1));
+    const std::size_t addr =
+        rng.bounded((kHeap - bytes) / kBlock) * kBlock + odd * 32;
+    tensors.emplace_back(addr, bytes);
+  }
+  for (int i = 0; i < 4000; ++i) {
+    if (i == 2000) lock.flush();
+    const auto [addr, bytes] = tensors[rng.bounded(tensors.size())];
+    ASSERT_TRUE(lock.access(addr, bytes, rng.uniform() < 0.4)) << "step " << i;
+  }
+  EXPECT_GT(lock.hits(), 0u);
+  EXPECT_GT(lock.dirty(), 0u);
+}
+
+TEST_P(StreamProperty, ScatteredBlocksMatchReference) {
+  // One block per access at random: the direct-mapped store's worst case,
+  // one run per touched set.
+  Lockstep lock(GetParam());
+  util::Xoshiro256 rng(8);
+  for (int i = 0; i < 5000; ++i) {
+    const std::size_t block = rng.bounded(kHeap / kBlock);
+    ASSERT_TRUE(lock.access(block * kBlock + rng.bounded(kBlock), 1,
+                            rng.uniform() < 0.4))
+        << "step " << i;
+  }
+  EXPECT_GT(lock.hits(), 0u);
+  EXPECT_GT(lock.dirty(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Ways, StreamProperty, ::testing::Values(1, 2),
+                         [](const auto& info) {
+                           return "ways" + std::to_string(info.param);
+                         });
 
 }  // namespace
 }  // namespace ca::twolm

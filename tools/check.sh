@@ -124,10 +124,10 @@ cmake -B build-asan -S . \
   -DCMAKE_BUILD_TYPE=Debug \
   -DCA_SANITIZE=address,undefined \
   -DCA_WERROR=OFF > /dev/null
-cmake --build build-asan -j "$JOBS" \
-  --target test_util test_sim test_telemetry test_mem test_dm test_policy \
-           test_core test_twolm test_dnn test_integration test_audit \
-           test_race test_simd
+# Build every target: the full ctest below runs every registered test, and
+# the feature stages reuse these binaries, so none of them is missing or
+# left over from an earlier tree.
+cmake --build build-asan -j "$JOBS"
 ( cd build-asan && ctest -j "$JOBS" --output-on-failure )
 note "asan: audit suite under sanitizers (ctest -R audit)"
 ( cd build-asan && ctest -R audit --output-on-failure )
@@ -214,7 +214,6 @@ fi
 # --- multitenant: shared-manager concurrency gate -----------------------------
 if selected multitenant; then
   note "multitenant: suite under ASan (semantics + plain-thread concurrency)"
-  cmake --build build-asan -j "$JOBS" --target test_multitenant
   ( cd build-asan && ctest -R 'multitenant\.' --output-on-failure )
 
   note "multitenant: suite under TSan"
@@ -234,7 +233,6 @@ if selected multitenant; then
   ( cd build-race && ctest -R 'multitenant\.' --output-on-failure )
 
   note "multitenant: K=4 shared-manager bench on the smoke shape"
-  cmake --build build-asan -j "$JOBS" --target micro_multitenant
   ( cd build-asan && ctest -R 'bench-smoke\.micro_multitenant' \
       --output-on-failure )
 fi
@@ -242,7 +240,6 @@ fi
 # --- comm: data-parallel allreduce gate ---------------------------------------
 if selected comm; then
   note "comm: suite under ASan (cost models + CommEngine + dp::Trainer)"
-  cmake --build build-asan -j "$JOBS" --target test_comm
   ( cd build-asan && ctest -R '^comm\.' --output-on-failure )
 
   note "comm: suite under TSan"
@@ -262,7 +259,6 @@ if selected comm; then
   ( cd build-race && ctest -R '^comm\.' --output-on-failure )
 
   note "comm: bucketed-allreduce bench on the smoke shape"
-  cmake --build build-asan -j "$JOBS" --target micro_allreduce
   ( cd build-asan && ctest -R 'bench-smoke\.micro_allreduce' \
       --output-on-failure )
 fi
@@ -270,7 +266,6 @@ fi
 # --- kparity: fast kernel tier vs the scalar reference ------------------------
 if selected kparity; then
   note "kparity: kernel parity suite under ASan (ctest -R kparity)"
-  cmake --build build-asan -j "$JOBS" --target test_kernels
   ( cd build-asan && ctest -R 'kparity\.' --output-on-failure )
   # The race half configures build-race itself so this stage is
   # self-contained without the race stage (CI runs kparity as its own job).
@@ -284,7 +279,6 @@ fi
 # --- simd: dispatch levels, NT copy path, race coverage -----------------------
 if selected simd; then
   note "simd: kparity + simd suites under ASan at CA_ISA=scalar"
-  cmake --build build-asan -j "$JOBS" --target test_kernels test_simd
   ( cd build-asan && CA_ISA=scalar ctest -R 'kparity\.|simd\.' \
       --output-on-failure )
   # The CA_ISA env pins the entry level; the in-process sweep tests still
@@ -306,9 +300,6 @@ fi
 # --- bench smoke ---------------------------------------------------------------
 if selected bench; then
   note "bench: every bench entry point on tiny shapes"
-  cmake --build build-asan -j "$JOBS" \
-    --target ablation_async micro_kernels micro_async_mover micro_allocator \
-             micro_copy_engine micro_multitenant micro_allreduce micro_ptrprov
   ( cd build-asan && ctest -L bench-smoke --output-on-failure )
 fi
 
