@@ -1,8 +1,10 @@
-// Ablations over the design choices DESIGN.md calls out: allocator fit
-// policy, small-object migration threshold, copy-engine chunk size, and
-// the GC trigger fraction.  Each sweep runs the integration workload (a
-// pressured VGG-style net) end-to-end and reports simulated time plus the
-// relevant secondary metric.
+// Ablations over the design choices DESIGN.md calls out: the small-object
+// migration threshold, the policy mode under a shrinking DRAM budget, GC
+// reliance without eager retire, and 2LM cache associativity.  Each sweep
+// runs the integration workload (a pressured VGG-style net) end-to-end and
+// reports simulated time plus the relevant secondary metric.  Given an
+// output directory as argv[1], each sweep's table is also written there as
+// <sweep>.csv.
 #include "common.hpp"
 #include "policy/lru_policy.hpp"
 #include "twolm/direct_mapped_cache.hpp"
@@ -44,7 +46,7 @@ dnn::HarnessConfig base_config() {
   return hc;
 }
 
-void sweep_small_object_threshold() {
+void sweep_small_object_threshold(const char* dir) {
   std::printf("--- Ablation: small-object migration threshold ---\n");
   std::vector<std::vector<std::string>> rows = {
       {"threshold", "iteration time", "NVRAM writes (MiB)"}};
@@ -58,12 +60,13 @@ void sweep_small_object_threshold() {
                     mib(m.nvram.bytes_written)});
   }
   std::fputs(util::render_table(rows).c_str(), stdout);
+  maybe_write_csv(dir, "small_object_threshold.csv", rows);
   std::printf(
       "Expected: tiny thresholds waste per-transfer overhead migrating "
       "biases;\nhuge thresholds pin whole activations and overflow DRAM.\n\n");
 }
 
-void sweep_dram_budget_modes() {
+void sweep_dram_budget_modes(const char* dir) {
   std::printf("--- Ablation: policy mode under shrinking DRAM ---\n");
   std::vector<std::vector<std::string>> rows = {
       {"DRAM", "CA: L", "CA: LM", "CA: LMP"}};
@@ -78,12 +81,13 @@ void sweep_dram_budget_modes() {
     rows.push_back(line);
   }
   std::fputs(util::render_table(rows).c_str(), stdout);
+  maybe_write_csv(dir, "dram_budget_modes.csv", rows);
   std::printf(
       "Expected: LM dominates; the optimizations matter most at small "
       "budgets.\n\n");
 }
 
-void sweep_gc_pressure() {
+void sweep_gc_pressure(const char* dir) {
   std::printf("--- Ablation: GC reliance without eager retire (CA: L) ---\n");
   std::vector<std::vector<std::string>> rows = {
       {"mode", "iteration time", "GC collections", "NVRAM writes (MiB)"}};
@@ -100,12 +104,13 @@ void sweep_gc_pressure() {
                     mib(m.nvram.bytes_written)});
   }
   std::fputs(util::render_table(rows).c_str(), stdout);
+  maybe_write_csv(dir, "gc_pressure.csv", rows);
   std::printf(
       "Expected: without M the GC runs under pressure and dead data costs "
       "NVRAM writebacks.\n\n");
 }
 
-void sweep_cache_associativity() {
+void sweep_cache_associativity(const char* dir) {
   std::printf("--- Ablation: 2LM DRAM-cache associativity ---\n");
   std::vector<std::vector<std::string>> rows = {
       {"ways", "iteration time", "hit rate", "dirty-miss rate"}};
@@ -150,6 +155,7 @@ void sweep_cache_associativity() {
                         "%"});
   }
   std::fputs(util::render_table(rows).c_str(), stdout);
+  maybe_write_csv(dir, "cache_associativity.csv", rows);
   std::printf(
       "Expected: associativity softens conflict misses, but the capacity "
       "problem\n(footprint >> cache) and the semantic blindness remain -- "
@@ -159,13 +165,14 @@ void sweep_cache_associativity() {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   print_header("Ablations",
                "Design-choice sweeps on a pressured training workload "
                "(4 MiB DRAM tier unless stated).");
-  sweep_small_object_threshold();
-  sweep_dram_budget_modes();
-  sweep_gc_pressure();
-  sweep_cache_associativity();
+  const char* dir = output_dir(argc, argv);
+  sweep_small_object_threshold(dir);
+  sweep_dram_budget_modes(dir);
+  sweep_gc_pressure(dir);
+  sweep_cache_associativity(dir);
   return 0;
 }

@@ -1,10 +1,9 @@
-// Shared infrastructure for the figure-reproduction benches.
-//
-// Every bench binary reproduces one table or figure from the paper
-// (see DESIGN.md §4).  All results are in *simulated seconds* on the scaled
-// Cascade Lake platform; shapes -- orderings and ratios -- are the
-// reproduction target, not absolute numbers (the authors ran on real
-// Optane hardware).
+// Shared infrastructure for the bench binaries: `paper` renders Table III
+// and Figs. 2-7 (see DESIGN.md §4), the ablations and micro benches emit
+// BENCH_<name>.json records.  All paper results are in *simulated seconds*
+// on the scaled Cascade Lake platform; shapes -- orderings and ratios --
+// are the reproduction target, not absolute numbers (the authors ran on
+// real Optane hardware).
 #pragma once
 
 #include <algorithm>
@@ -28,58 +27,6 @@ using dnn::IterationMetrics;
 using dnn::Mode;
 using dnn::ModelSpec;
 
-/// The paper's operating-mode lineup for Figs. 2, 5 and 6 (§IV).
-inline const std::vector<Mode>& all_modes() {
-  static const std::vector<Mode> modes = {
-      Mode::kTwoLmNone, Mode::kTwoLmM, Mode::kCaNone,
-      Mode::kCaL,       Mode::kCaLM,   Mode::kCaLMP,
-  };
-  return modes;
-}
-
-struct RunConfig {
-  ModelSpec spec;
-  Mode mode = Mode::kCaLM;
-  std::size_t dram = 180 * util::MiB;
-  std::size_t nvram = 1300 * util::MiB;
-  int iterations = 3;  ///< first iteration warms the heaps; later ones are
-                       ///< steady state (the paper runs 4 and checks
-                       ///< consistency)
-  telemetry::TimeSeries* occupancy = nullptr;
-};
-
-struct RunResult {
-  std::vector<IterationMetrics> iterations;
-
-  /// Steady-state iteration (the last one).
-  [[nodiscard]] const IterationMetrics& steady() const {
-    return iterations.back();
-  }
-};
-
-/// Run `iterations` training iterations of `spec` under `mode` and collect
-/// per-iteration metrics.
-inline RunResult run_training(const RunConfig& cfg) {
-  HarnessConfig hc;
-  hc.mode = cfg.mode;
-  hc.dram_bytes = cfg.dram;
-  hc.nvram_bytes = cfg.nvram;
-  hc.backend = dnn::Backend::kSim;
-  hc.compute_efficiency = cfg.spec.compute_efficiency;
-  hc.conv_read_passes = cfg.spec.conv_read_passes;
-  Harness harness(hc);
-  auto model = dnn::build_model(harness.engine(), cfg.spec);
-  model->init(harness.engine(), 1);
-  dnn::TrainerOptions opts;
-  opts.occupancy = cfg.occupancy;
-  dnn::Trainer trainer(harness, *model, opts);
-  RunResult result;
-  for (int i = 0; i < cfg.iterations; ++i) {
-    result.iterations.push_back(trainer.run_iteration());
-  }
-  return result;
-}
-
 inline void print_header(const char* figure, const char* description) {
   const auto platform = sim::Platform::cascade_lake_default();
   std::printf("=== %s ===\n%s\n", figure, description);
@@ -93,18 +40,19 @@ inline void print_header(const char* figure, const char* description) {
       util::format_bytes(platform.spec(sim::kSlow).capacity).c_str());
 }
 
-/// Best-effort CSV export: every bench accepts an optional output
-/// directory as its first non-flag argument; tables are written there as
-/// <name>.csv.
-inline void maybe_write_csv(int argc, char** argv, const char* name,
-                            const std::vector<std::vector<std::string>>& rows) {
-  const char* dir = nullptr;
+/// The output directory every bench accepts as its first non-flag
+/// argument (nullptr when none was given).
+inline const char* output_dir(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
-    if (argv[i][0] != '-') {
-      dir = argv[i];
-      break;
-    }
+    if (argv[i][0] != '-') return argv[i];
   }
+  return nullptr;
+}
+
+/// Best-effort CSV export: when an output directory was given, `rows` are
+/// written there as <name>.
+inline void maybe_write_csv(const char* dir, const char* name,
+                            const std::vector<std::vector<std::string>>& rows) {
   if (dir == nullptr) return;
   const std::string path = std::string(dir) + "/" + name;
   if (telemetry::write_csv(path, rows)) {
@@ -167,14 +115,9 @@ inline std::string json_escape(const std::string& s) {
 /// directory), with one entry per record.
 inline void write_bench_json(int argc, char** argv, const char* name,
                              const std::vector<BenchRecord>& records) {
-  std::string dir = ".";
-  for (int i = 1; i < argc; ++i) {
-    if (argv[i][0] != '-') {
-      dir = argv[i];
-      break;
-    }
-  }
-  const std::string path = dir + "/BENCH_" + name + ".json";
+  const char* dir = output_dir(argc, argv);
+  const std::string path =
+      std::string(dir != nullptr ? dir : ".") + "/BENCH_" + name + ".json";
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::printf("[json] could not write %s\n", path.c_str());
@@ -259,7 +202,7 @@ class BenchReport {
   /// and rows were added, <csv_name> via maybe_write_csv.
   void write(int argc, char** argv, const char* csv_name = nullptr) const {
     if (csv_name != nullptr && !table_.empty()) {
-      maybe_write_csv(argc, argv, csv_name, table_);
+      maybe_write_csv(output_dir(argc, argv), csv_name, table_);
     }
     write_bench_json(argc, argv, name_.c_str(), records_);
   }

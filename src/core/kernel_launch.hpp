@@ -32,9 +32,9 @@ class KernelLaunch {
     return *this;
   }
 
-  /// Stage (hints), pin, run `fn()`, unpin.  Inside `fn`, use
-  /// CachedArray::with_read / with_write or `resolve` pointers; arguments
-  /// registered here cannot be displaced meanwhile.
+  /// Stage (hints), pin, run `fn()`, unpin.  Inside `fn`, reach bytes
+  /// through CachedArray::with_read / with_write; arguments registered here
+  /// cannot be displaced meanwhile.
   template <typename Fn>
   decltype(auto) run(Fn&& fn) {
     std::vector<dm::Object*> objects;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "ptrprov/ptrprov.hpp"
 #include "util/error.hpp"
 
 namespace ca::core {
@@ -67,24 +66,6 @@ void Runtime::end_kernel(std::span<dm::Object* const> args) {
   for (dm::Object* obj : args) {
     if (obj != nullptr) dm_->unpin(*obj);
   }
-}
-
-std::byte* Runtime::resolve(dm::Object& object, bool write,
-                            std::source_location loc) {
-  CA_CHECK(object.pinned(),
-           "resolve outside a begin_kernel/end_kernel bracket");
-  dm::Region* primary = dm_->getprimary(object);
-  CA_CHECK(primary != nullptr, "object has no primary region");
-  // If an asynchronous fill is still in flight, stall for the remainder
-  // (this is the only synchronous cost async movement leaves behind).
-  dm_->wait_ready(*primary);
-  if (write) dm_->markdirty(*primary);
-  // Sanctioned raw escape: the returned pointer leaves the provenance
-  // net, so record the extraction (and flag it if the pin check above
-  // was somehow bypassed).
-  ptrprov::on_escape(primary, primary->generation(), object.pin_count(),
-                     object.name().c_str(), loc);
-  return primary->data();
 }
 
 void Runtime::destroy_now(dm::Object& object) {

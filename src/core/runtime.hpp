@@ -97,28 +97,19 @@ class Runtime {
   }
   void archive(dm::Object& object) { policy_->archive(object); }
 
-  /// Kernel execution bracket: pins `args` so their primaries (and any
-  /// resolved pointers) stay put until end_kernel unpins them.  It only
-  /// pins; the policy's staging bracket (Policy::begin_kernel/end_kernel)
-  /// is opened by the launcher around the hints, before this one.
+  /// Kernel execution bracket: pins `args` so their primaries stay put
+  /// until end_kernel unpins them.  It only pins; the policy's staging
+  /// bracket (Policy::begin_kernel/end_kernel) is opened by the launcher
+  /// around the hints, before this one.
   void begin_kernel(std::span<dm::Object* const> args);
   void end_kernel(std::span<dm::Object* const> args);
 
   // --- data access -------------------------------------------------------
 
-  /// Resolve the object indirection for kernel execution.  The object must
-  /// be pinned (between begin_kernel/end_kernel) so the pointer stays
-  /// valid.  Write access marks the primary dirty.  This is the sanctioned
-  /// raw-pointer escape: ca::ptrprov records the call site and flags any
-  /// resolve against an unpinned object.
-  [[nodiscard]] std::byte* resolve(
-      dm::Object& object, bool write,
-      std::source_location loc = std::source_location::current());
-
-  /// The provenance-tracked accessor (preferred over resolve): pins the
-  /// object for the span's lifetime and checks every dereference against
-  /// the relocation generation.  Composes with kernel brackets (pins are
-  /// counted).
+  /// The one route to region bytes: pins the object for the span's
+  /// lifetime and checks every dereference against the relocation
+  /// generation.  Write access marks the primary dirty.  Composes with
+  /// kernel brackets (pins are counted).
   [[nodiscard]] dm::PinnedSpan access(
       dm::Object& object, bool write,
       std::source_location loc = std::source_location::current()) {

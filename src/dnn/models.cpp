@@ -329,7 +329,7 @@ class DenseNet final : public Model {
 // --- presets -----------------------------------------------------------------
 // Batch sizes are calibrated so the measured iteration footprints land at
 // the paper's Table III numbers in MiB (520-530 large, 170-180 small); see
-// bench/table3_models.
+// `bench/paper table3`.
 
 ModelSpec ModelSpec::vgg416_large() {
   ModelSpec s;

@@ -6,7 +6,7 @@
 // iteration needs ~520-530 GB (large) or 170-180 GB (small).  We reproduce
 // the same architectures with spatial/channel/batch dimensions scaled so
 // the footprints land at the same numbers in MiB.  Footprints are measured,
-// not asserted: bench/table3_models prints the achieved values.
+// not asserted: `bench/paper table3` prints the achieved values.
 #pragma once
 
 #include <memory>

@@ -12,19 +12,19 @@
 //     it per region address (on_region_alloc / on_region_mutate /
 //     on_region_free);
 //
-//   * the sanctioned accessor (dm::PinnedSpan, from DataManager::access)
-//     records (pointer, generation, pin token, source_location) on acquire
-//     and checks every dereference against the mirror: a pointer whose
-//     region generation has advanced is a use-after-relocate, a freed
-//     region is a use-after-free, a span outliving its pin is a
-//     use-after-unpin, and raw extraction with pin_count == 0 is an
-//     unpinned-extract — each a structured ProvenanceReport naming the
-//     acquire site and the mutation site that invalidated it;
+//   * the sanctioned accessor (dm::PinnedSpan, from DataManager::access,
+//     the one route to region bytes) records (pointer, generation, pin
+//     token, source_location) on acquire and checks every dereference
+//     against the mirror: a pointer whose region generation has advanced
+//     is a use-after-relocate, a freed region is a use-after-free, a span
+//     outliving its pin is a use-after-unpin, and an acquire with
+//     pin_count == 0 is an unpinned-extract — each a structured
+//     ProvenanceReport naming the acquire site and the mutation site that
+//     invalidated it;
 //
-//   * sanctioned raw escapes (Runtime::resolve) call on_escape, so the set
-//     of observed acquire/escape sites accumulates across ca::race explorer
-//     schedules and tools/ptrprov_check.py can diff it against the manifest
-//     in docs/pointer_provenance.json (the static half: the
+//   * the set of observed acquire sites accumulates across ca::race
+//     explorer schedules, so tools/ptrprov_check.py can diff it against
+//     the manifest in docs/pointer_provenance.json (the static half: the
 //     region-data-route ca_lint rule confines bare Region::data() calls to
 //     the same manifest).
 //
@@ -99,7 +99,7 @@ struct SpanInfo {
 };
 
 /// One observed sanctioned-accessor site (deduplicated, with a hit count),
-/// for dumps and the manifest diff.  `kind` is "acquire" or "escape".
+/// for dumps and the manifest diff.  `kind` is "acquire".
 struct SiteInfo {
   std::string kind;
   std::string site;
@@ -138,11 +138,6 @@ void on_access(SpanId id, int pin_count_now, const std::source_location& loc);
 /// use-after-unpin.
 void on_release(SpanId id);
 
-/// A sanctioned raw-pointer escape (Runtime::resolve): records the site and
-/// reports unpinned-extract when `pin_count` <= 0.
-void on_escape(const void* region, std::uint64_t gen, int pin_count,
-               const char* label, const std::source_location& loc);
-
 // --- findings / introspection ----------------------------------------------
 
 /// Drain the accumulated reports (regions, spans and observed sites stay).
@@ -155,7 +150,7 @@ std::vector<ProvenanceReport> take_reports();
 /// Span ids currently held by the calling thread (acquire order).
 [[nodiscard]] std::vector<SpanId> held_spans();
 
-/// Snapshot of the observed acquire/escape sites (accumulates across
+/// Snapshot of the observed acquire sites (accumulates across
 /// explorer schedules, like the lockdep graph).
 [[nodiscard]] std::vector<SiteInfo> observed_sites();
 
@@ -189,8 +184,6 @@ inline SpanId on_acquire(const void*, const void*, std::uint64_t, int,
 }
 inline void on_access(SpanId, int, const std::source_location&) {}
 inline void on_release(SpanId) {}
-inline void on_escape(const void*, std::uint64_t, int, const char*,
-                      const std::source_location&) {}
 
 }  // namespace ca::ptrprov
 

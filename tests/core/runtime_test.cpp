@@ -4,7 +4,6 @@
 
 #include "policy/lru_policy.hpp"
 #include "util/align.hpp"
-#include "util/error.hpp"
 
 namespace ca::core {
 namespace {
@@ -95,32 +94,6 @@ TEST(Runtime, GcTriggerFractionCollectsProactively) {
   rt.release(rt.new_object(192 * util::KiB));  // > 10% of 1.25 MiB total
   (void)rt.new_object(1024);                   // triggers the proactive GC
   EXPECT_EQ(rt.gc_stats().collections, 1u);
-}
-
-TEST(Runtime, ResolveRequiresKernelBracket) {
-  Runtime rt(small_platform(), lru_factory());
-  dm::Object& obj = rt.new_object(1024);
-  EXPECT_THROW(rt.resolve(obj, false), InternalError);
-  dm::Object* args[] = {&obj};
-  rt.begin_kernel(args);
-  EXPECT_NE(rt.resolve(obj, false), nullptr);
-  rt.end_kernel(args);
-  rt.release(obj);
-  rt.gc_collect();
-}
-
-TEST(Runtime, ResolveForWriteMarksDirty) {
-  Runtime rt(small_platform(), lru_factory());
-  dm::Object& obj = rt.new_object(1024);
-  dm::Object* args[] = {&obj};
-  rt.begin_kernel(args);
-  rt.resolve(obj, false);
-  EXPECT_FALSE(rt.manager().isdirty(*rt.manager().getprimary(obj)));
-  rt.resolve(obj, true);
-  EXPECT_TRUE(rt.manager().isdirty(*rt.manager().getprimary(obj)));
-  rt.end_kernel(args);
-  rt.release(obj);
-  rt.gc_collect();
 }
 
 TEST(Runtime, KernelBracketPinsArguments) {

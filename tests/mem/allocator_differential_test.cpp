@@ -3,8 +3,8 @@
 // consume the same seeded op stream; every returned offset is compared on
 // the spot, and the full block tiling, stats and free index are reconciled
 // periodically.  Placement parity is what makes the binned allocator a
-// drop-in: fig3_heap_occupancy and every policy decision that keys off
-// block addresses must not move.
+// drop-in: the `bench/paper fig3` occupancy series and every policy
+// decision that keys off block addresses must not move.
 #include <cstdint>
 #include <cstdlib>
 #include <optional>

@@ -32,8 +32,8 @@ TEST(Arena, AtReturnsOffsets) {
 
 TEST(Arena, AtOutOfRangeThrows) {
   Arena a(4096);
-  EXPECT_THROW(a.at(4096), InternalError);
-  EXPECT_THROW(a.at(1 << 20), InternalError);
+  EXPECT_THROW((void)a.at(4096), InternalError);
+  EXPECT_THROW((void)a.at(1 << 20), InternalError);
 }
 
 TEST(Arena, Contains) {

@@ -181,13 +181,18 @@ TEST(PtrprovRuntime, UnpinnedExtractIsFlaggedAtTheEscape) {
   Fixture f;
   dm::Object* obj = f.make_object("escapee", sim::kFast, 64 * util::KiB);
   ASSERT_FALSE(obj->pinned());
-  (void)dm::DataManagerTestPeer::unpinned_extract(f.dm, *obj);
+  // What an accessor that skipped the pin would do: acquire the primary
+  // with pin_count == 0.  ca::ptrprov must flag the extraction itself, not
+  // trust the caller.
+  const dm::Region* primary = f.dm.getprimary(*obj);
+  ptrprov::on_release(ptrprov::on_acquire(
+      obj, primary, primary->generation(), obj->pin_count(), "escapee",
+      std::source_location::current()));
   const auto reports = ptrprov::take_reports();
   ASSERT_EQ(reports.size(), 1u);
   EXPECT_EQ(reports[0].kind, ProvenanceReport::Kind::kUnpinnedExtract);
   EXPECT_EQ(reports[0].object, "escapee");
-  // The escape hook takes a defaulted source_location, so the report names
-  // the extraction's call site -- this test -- not the accessor internals.
+  // The report names the extraction's call site -- this test.
   EXPECT_NE(reports[0].acquire_site.find("ptrprov_runtime_test.cpp"),
             std::string::npos);
 }

@@ -5,11 +5,8 @@
 // test can put the manager back into a consistent state before teardown.
 #pragma once
 
-#include <source_location>
-
 #include "dm/data_manager.hpp"
 #include "dm/object.hpp"
-#include "ptrprov/ptrprov.hpp"
 
 namespace ca::dm {
 
@@ -23,21 +20,6 @@ struct DataManagerTestPeer {
   /// staged hazard do not underflow).
   static void set_pin(Object& object, int count) {
     object.pin_count_.store(count);
-  }
-
-  /// The unpinned raw escape: what a kernel that skipped the
-  /// begin_kernel/end_kernel bracket would do.  Replicates
-  /// Runtime::resolve minus the pin check; ca::ptrprov must flag the
-  /// extraction itself (kUnpinnedExtract), not trust the caller.
-  static const std::byte* unpinned_extract(
-      DataManager& dm, Object& object,
-      std::source_location loc = std::source_location::current()) {
-    Region* primary = object.primary();
-    if (primary == nullptr) return nullptr;
-    dm.wait_ready(*primary);
-    ptrprov::on_escape(primary, primary->generation(), object.pin_count(),
-                       object.name().c_str(), loc);
-    return primary->data();
   }
 
   /// Corruption injector for the dm.pin "orphaned primary" invariant:

@@ -72,7 +72,7 @@ TEST(Platform, CustomCapacities) {
 TEST(Platform, FindKindThrowsWhenAbsent) {
   Platform p;
   p.devices.push_back(Platform::cascade_lake_default().devices[0]);
-  EXPECT_THROW(p.find_kind(DeviceKind::kNvram), UsageError);
+  EXPECT_THROW((void)p.find_kind(DeviceKind::kNvram), UsageError);
 }
 
 TEST(Platform, DeviceKindNames) {
