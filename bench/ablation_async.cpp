@@ -20,7 +20,8 @@
 //
 // Runs the paper's large-model shape plus a small-model DRAM sweep.
 // `--smoke` switches to tiny shapes / one iteration for the bench-smoke
-// ctest label.
+// ctest label.  Given an output directory, writes each table there as
+// large_<model>.csv / sweep_<model>.csv.
 #include "common.hpp"
 
 using namespace ca;
@@ -63,6 +64,7 @@ std::uint64_t moved_bytes(const IterationMetrics& m) {
 
 int main(int argc, char** argv) {
   const bool smoke = has_flag(argc, argv, "--smoke");
+  const char* dir = output_dir(argc, argv);
   print_header("Ablation: asynchronous data movement",
                "Serialized (1-channel) vs multi-channel background mover vs "
                "synchronous copies vs the Fig. 7 projection.");
@@ -104,6 +106,7 @@ int main(int argc, char** argv) {
     rows.push_back({"projection", util::format_fixed(projection, 1) + "s",
                     "-", "-", "-"});
     std::fputs(util::render_table(rows).c_str(), stdout);
+    maybe_write_csv(dir, ("large_" + spec.name + ".csv").c_str(), rows);
 
     // Acceptance gate for the full run only: with smoke shapes there may be
     // too little movement for the channels to matter.
@@ -152,6 +155,7 @@ int main(int argc, char** argv) {
                  moved_bytes(multi.steady));
     }
     std::fputs(util::render_table(rows).c_str(), stdout);
+    maybe_write_csv(dir, ("sweep_" + spec.name + ".csv").c_str(), rows);
     std::printf("\n");
   }
 

@@ -302,71 +302,6 @@ Tensor Engine::maxpool2(const Tensor& x) {
   return y;
 }
 
-Tensor Engine::avgpool2(const Tensor& x) {
-  const auto& s = x.shape();
-  CA_CHECK(s.rank() == 4 && s.h() % 2 == 0 && s.w() % 2 == 0,
-           "avgpool2 expects even NCHW spatial dims");
-  Tensor y = tensor({s.n(), s.c(), s.h() / 2, s.w() / 2}, "apool.y");
-  const std::size_t n = s.n(), c = s.c(), h = s.h(), w = s.w();
-  execute("avgpool2", {x}, {y}, static_cast<double>(x.numel()),
-          kEltwiseEfficiency,
-          [=](const real::KernelCtx& kctx,
-              const std::vector<const float*>& r,
-              const std::vector<float*>& wr) {
-            real::avgpool2_fwd(kctx, r[0], wr[0], n, c, h, w);
-          });
-  TapeEntry e;
-  e.name = "avgpool2";
-  e.inputs = {x};
-  e.outputs = {y};
-  e.backward = [x, n, c, h, w](Engine& eng, const std::vector<Tensor>& gout)
-      -> std::vector<Tensor> {
-    Tensor gx = eng.tensor(x.shape(), "apool.gx");
-    eng.execute("avgpool2_bwd", {gout[0]}, {gx},
-                static_cast<double>(x.numel()), kEltwiseEfficiency,
-                [=](const real::KernelCtx& kctx,
-                    const std::vector<const float*>& r,
-                    const std::vector<float*>& wr) {
-                  real::avgpool2_bwd(kctx, r[0], wr[0], n, c, h, w);
-                });
-    return {gx};
-  };
-  record(std::move(e));
-  return y;
-}
-
-Tensor Engine::dropout(const Tensor& x, float p, std::uint64_t seed) {
-  CA_CHECK(p >= 0.0f && p < 1.0f, "dropout probability must be in [0, 1)");
-  Tensor y = tensor(x.shape(), "drop.y");
-  Tensor mask = tensor(x.shape(), "drop.mask");
-  const auto n = x.numel();
-  execute("dropout", {x}, {y, mask}, static_cast<double>(n),
-          kEltwiseEfficiency,
-          [n, p, seed](const real::KernelCtx& kctx,
-                       const std::vector<const float*>& r,
-                       const std::vector<float*>& w) {
-            real::dropout_fwd(kctx, r[0], w[0], w[1], p, seed, n);
-          });
-  TapeEntry e;
-  e.name = "dropout";
-  e.inputs = {x};
-  e.outputs = {y, mask};
-  e.backward = [mask, x, n](Engine& eng, const std::vector<Tensor>& gout)
-      -> std::vector<Tensor> {
-    Tensor gx = eng.tensor(x.shape(), "drop.gx");
-    eng.execute("dropout_bwd", {mask, gout[0]}, {gx},
-                static_cast<double>(n), kEltwiseEfficiency,
-                [n](const real::KernelCtx& kctx,
-                    const std::vector<const float*>& r,
-                    const std::vector<float*>& w) {
-                  real::dropout_bwd(kctx, r[0], r[1], w[0], n);
-                });
-    return {gx};
-  };
-  record(std::move(e));
-  return y;
-}
-
 Tensor Engine::global_avgpool(const Tensor& x) {
   const auto& s = x.shape();
   CA_CHECK(s.rank() == 4, "global_avgpool expects NCHW");

@@ -110,11 +110,6 @@ class Engine {
                 std::size_t stride, std::size_t pad);
   Tensor relu(const Tensor& x);
   Tensor maxpool2(const Tensor& x);
-  Tensor avgpool2(const Tensor& x);
-
-  /// Inverted dropout with probability `p`; the mask is deterministic from
-  /// `seed` (a no-op scaling under the sim backend).
-  Tensor dropout(const Tensor& x, float p, std::uint64_t seed);
   Tensor global_avgpool(const Tensor& x);
   Tensor batchnorm(const Tensor& x, const Tensor& gamma, const Tensor& beta);
   Tensor dense(const Tensor& x, const Tensor& w, const Tensor& b);

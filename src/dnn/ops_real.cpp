@@ -11,7 +11,6 @@
 #include "telemetry/counters.hpp"
 #include "telemetry/stopwatch.hpp"
 #include "util/bytes.hpp"
-#include "util/rng.hpp"
 #include "util/threadpool.hpp"
 
 namespace ca::dnn::real {
@@ -255,58 +254,6 @@ void maxpool2_bwd(const float* x, const float* gy, float* gx, std::size_t n,
       }
     }
   }
-}
-
-void avgpool2_fwd(const float* x, float* y, std::size_t n, std::size_t c,
-                  std::size_t h, std::size_t w) {
-  const std::size_t ho = h / 2;
-  const std::size_t wo = w / 2;
-  for (std::size_t i = 0; i < n * c; ++i) {
-    const float* xc = x + i * h * w;
-    float* yc = y + i * ho * wo;
-    for (std::size_t oy = 0; oy < ho; ++oy) {
-      for (std::size_t ox = 0; ox < wo; ++ox) {
-        const std::size_t base = (2 * oy) * w + 2 * ox;
-        yc[oy * wo + ox] = 0.25f * (xc[base] + xc[base + 1] + xc[base + w] +
-                                    xc[base + w + 1]);
-      }
-    }
-  }
-}
-
-void avgpool2_bwd(const float* gy, float* gx, std::size_t n, std::size_t c,
-                  std::size_t h, std::size_t w) {
-  const std::size_t ho = h / 2;
-  const std::size_t wo = w / 2;
-  for (std::size_t i = 0; i < n * c; ++i) {
-    const float* gyc = gy + i * ho * wo;
-    float* gxc = gx + i * h * w;
-    for (std::size_t oy = 0; oy < ho; ++oy) {
-      for (std::size_t ox = 0; ox < wo; ++ox) {
-        const float g = 0.25f * gyc[oy * wo + ox];
-        const std::size_t base = (2 * oy) * w + 2 * ox;
-        gxc[base] = g;
-        gxc[base + 1] = g;
-        gxc[base + w] = g;
-        gxc[base + w + 1] = g;
-      }
-    }
-  }
-}
-
-void dropout_fwd(const float* x, float* y, float* mask, float p,
-                 std::uint64_t seed, std::size_t n) {
-  ca::util::Xoshiro256 rng(seed);
-  const float keep_scale = 1.0f / (1.0f - p);
-  for (std::size_t i = 0; i < n; ++i) {
-    mask[i] = rng.uniform() < p ? 0.0f : keep_scale;
-    y[i] = x[i] * mask[i];
-  }
-}
-
-void dropout_bwd(const float* mask, const float* gy, float* gx,
-                 std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) gx[i] = gy[i] * mask[i];
 }
 
 void global_avgpool_fwd(const float* x, float* y, std::size_t n,
@@ -888,51 +835,6 @@ void maxpool2_bwd(const KernelCtx& ctx, const float* x, const float* gy,
   const std::size_t hw = h * w;
   eltwise_launch(ctx, n * c, hw, [&](std::size_t b, std::size_t e) {
     maxpool2_bwd(x + b * hw, gy + b * (hw / 4), gx + b * hw, e - b, 1, h, w);
-  });
-}
-
-void avgpool2_fwd(const KernelCtx& ctx, const float* x, float* y,
-                  std::size_t n, std::size_t c, std::size_t h,
-                  std::size_t w) {
-  if (ctx.reference) {
-    avgpool2_fwd(x, y, n, c, h, w);
-    return;
-  }
-  const std::size_t hw = h * w;
-  eltwise_launch(ctx, n * c, hw, [&](std::size_t b, std::size_t e) {
-    avgpool2_fwd(x + b * hw, y + b * (hw / 4), e - b, 1, h, w);
-  });
-}
-
-void avgpool2_bwd(const KernelCtx& ctx, const float* gy, float* gx,
-                  std::size_t n, std::size_t c, std::size_t h,
-                  std::size_t w) {
-  if (ctx.reference) {
-    avgpool2_bwd(gy, gx, n, c, h, w);
-    return;
-  }
-  const std::size_t hw = h * w;
-  eltwise_launch(ctx, n * c, hw, [&](std::size_t b, std::size_t e) {
-    avgpool2_bwd(gy + b * (hw / 4), gx + b * hw, e - b, 1, h, w);
-  });
-}
-
-void dropout_fwd(const KernelCtx& ctx, const float* x, float* y, float* mask,
-                 float p, std::uint64_t seed, std::size_t n) {
-  // Always scalar (both tiers): the mask is defined as a sequential draw
-  // from one seeded generator -- see the header.
-  (void)ctx;
-  dropout_fwd(x, y, mask, p, seed, n);
-}
-
-void dropout_bwd(const KernelCtx& ctx, const float* mask, const float* gy,
-                 float* gx, std::size_t n) {
-  if (ctx.reference) {
-    dropout_bwd(mask, gy, gx, n);
-    return;
-  }
-  eltwise_launch(ctx, n, 1, [&](std::size_t b, std::size_t e) {
-    dropout_bwd(mask + b, gy + b, gx + b, e - b);
   });
 }
 

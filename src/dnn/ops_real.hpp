@@ -27,7 +27,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 
 #include "dnn/kernel_ctx.hpp"
 
@@ -75,19 +74,6 @@ void maxpool2_fwd(const float* x, float* y, std::size_t n, std::size_t c,
                   std::size_t h, std::size_t w);
 void maxpool2_bwd(const float* x, const float* gy, float* gx, std::size_t n,
                   std::size_t c, std::size_t h, std::size_t w);
-
-// 2x2 average pooling with stride 2; h and w must be even.
-void avgpool2_fwd(const float* x, float* y, std::size_t n, std::size_t c,
-                  std::size_t h, std::size_t w);
-void avgpool2_bwd(const float* gy, float* gx, std::size_t n, std::size_t c,
-                  std::size_t h, std::size_t w);
-
-// Inverted dropout: mask[i] is 0 (dropped) or 1/(1-p) (kept), generated
-// deterministically from `seed`; y = x * mask, gx = gy * mask.
-void dropout_fwd(const float* x, float* y, float* mask, float p,
-                 std::uint64_t seed, std::size_t n);
-void dropout_bwd(const float* mask, const float* gy, float* gx,
-                 std::size_t n);
 
 // Global average pooling: (n,c,h,w) -> (n,c).
 void global_avgpool_fwd(const float* x, float* y, std::size_t n,
@@ -172,21 +158,6 @@ void maxpool2_fwd(const KernelCtx& ctx, const float* x, float* y,
 void maxpool2_bwd(const KernelCtx& ctx, const float* x, const float* gy,
                   float* gx, std::size_t n, std::size_t c, std::size_t h,
                   std::size_t w);
-void avgpool2_fwd(const KernelCtx& ctx, const float* x, float* y,
-                  std::size_t n, std::size_t c, std::size_t h,
-                  std::size_t w);
-void avgpool2_bwd(const KernelCtx& ctx, const float* gy, float* gx,
-                  std::size_t n, std::size_t c, std::size_t h,
-                  std::size_t w);
-
-// dropout_fwd stays scalar in both tiers: the mask stream is defined as a
-// *sequential* draw from one seeded generator, and parity (plus replay
-// determinism) would break if chunks drew from split streams.
-void dropout_fwd(const KernelCtx& ctx, const float* x, float* y, float* mask,
-                 float p, std::uint64_t seed, std::size_t n);
-void dropout_bwd(const KernelCtx& ctx, const float* mask, const float* gy,
-                 float* gx, std::size_t n);
-
 void global_avgpool_fwd(const KernelCtx& ctx, const float* x, float* y,
                         std::size_t n, std::size_t c, std::size_t h,
                         std::size_t w);

@@ -7,7 +7,6 @@
 #include <map>
 #include <mutex>
 #include <sstream>
-#include <tuple>
 #include <unordered_map>
 #include <utility>
 
@@ -61,9 +60,9 @@ struct Registry {
   std::unordered_map<const void*, RegionState> regions;
   std::map<SpanId, SpanRec> spans;  ///< live (unreleased) spans
   std::deque<SpanRec> retired;     ///< recently released spans (bounded)
-  /// Observed accessor sites, deduplicated by (kind, site) with a count.
-  /// Accumulates across explorer schedules, like the lockdep graph.
-  std::map<std::pair<std::string, std::string>, std::uint64_t> observed;
+  /// Observed acquire sites, deduplicated with a count.  Accumulates
+  /// across explorer schedules, like the lockdep graph.
+  std::map<std::string, std::uint64_t> observed;
   std::vector<ProvenanceReport> reports;
   SpanId next_id = 1;
 
@@ -76,10 +75,6 @@ struct Registry {
 /// The calling thread's stack of held span ids.  Thread-local: only its
 /// own thread ever touches it, so no lock is needed.
 thread_local std::vector<SpanId> t_spans;
-
-void record_site_locked(Registry& r, const char* kind, const Site& site) {
-  ++r.observed[{kind, site.str()}];
-}
 
 const char* kind_name(ProvenanceReport::Kind kind) {
   switch (kind) {
@@ -171,7 +166,7 @@ SpanId on_acquire(const void* object, const void* region, std::uint64_t gen,
     rec.label = label != nullptr ? label : "";
     rec.acquire_site = site;
     rec.gen_at_acquire = gen;
-    record_site_locked(r, "acquire", site);
+    ++r.observed[site.str()];
     if (pin_count <= 0) {
       ProvenanceReport report;
       report.kind = ProvenanceReport::Kind::kUnpinnedExtract;
@@ -302,10 +297,10 @@ std::vector<SiteInfo> observed_sites() {
   std::lock_guard<std::mutex> g(r.mu);
   std::vector<SiteInfo> out;
   out.reserve(r.observed.size());
-  for (const auto& [key, count] : r.observed) {
-    out.push_back(SiteInfo{key.first, key.second, count});
+  for (const auto& [site, count] : r.observed) {
+    out.push_back(SiteInfo{site, count});
   }
-  // The map is keyed on (kind, site): already deterministically sorted.
+  // The map is keyed on the site: already deterministically sorted.
   return out;
 }
 
@@ -315,11 +310,9 @@ std::string dump_registry_json() {
   std::ostringstream out;
   out << "{\n  \"sites\": [";
   bool first = true;
-  for (const auto& [key, count] : r.observed) {
-    out << (first ? "\n" : ",\n") << "    {\"kind\": ";
-    json_escape(out, key.first);
-    out << ", \"site\": ";
-    json_escape(out, key.second);
+  for (const auto& [site, count] : r.observed) {
+    out << (first ? "\n" : ",\n") << "    {\"site\": ";
+    json_escape(out, site);
     out << ", \"count\": " << count << "}";
     first = false;
   }

@@ -98,10 +98,9 @@ struct SpanInfo {
   std::string mutation_site;
 };
 
-/// One observed sanctioned-accessor site (deduplicated, with a hit count),
-/// for dumps and the manifest diff.  `kind` is "acquire".
+/// One observed acquire site (deduplicated, with a hit count), for dumps
+/// and the manifest diff.
 struct SiteInfo {
-  std::string kind;
   std::string site;
   std::uint64_t count = 0;
 };

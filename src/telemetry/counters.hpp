@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <utility>
 
 #include "sim/device.hpp"
 
@@ -82,15 +81,6 @@ struct AllocatorCounters {
   std::size_t free_blocks = 0;
   std::size_t largest_free_block = 0;
   double fragmentation = 0.0;
-
-  /// Fraction of successful allocations the home size-class bin absorbed.
-  [[nodiscard]] double exact_hit_rate() const noexcept {
-    const std::uint64_t served = bin_exact_hits + bin_spill_allocs;
-    return served == 0
-               ? 0.0
-               : static_cast<double>(bin_exact_hits) /
-                     static_cast<double>(served);
-  }
 };
 
 /// Data-parallel communication accounting (DESIGN.md §3.6).  Counts come
@@ -144,8 +134,6 @@ class OpHistogram {
     return ops_;
   }
 
-  [[nodiscard]] bool empty() const noexcept { return ops_.empty(); }
-
   /// Difference since a snapshot (ops only ever accumulate); entries whose
   /// delta is zero calls are dropped.
   [[nodiscard]] OpHistogram delta(const OpHistogram& snap) const {
@@ -160,17 +148,6 @@ class OpHistogram {
       if (s.calls != 0) d.ops_.emplace(name, s);
     }
     return d;
-  }
-
-  /// The op type with the most accumulated seconds ("" when empty).
-  [[nodiscard]] std::pair<std::string, OpStats> slowest() const {
-    std::pair<std::string, OpStats> best;
-    for (const auto& [name, s] : ops_) {
-      if (best.first.empty() || s.seconds > best.second.seconds) {
-        best = {name, s};
-      }
-    }
-    return best;
   }
 
  private:
@@ -229,16 +206,6 @@ class TrafficCounters {
     d.read_ops = now.read_ops - snapshot.read_ops;
     d.write_ops = now.write_ops - snapshot.write_ops;
     return d;
-  }
-
-  void reset() noexcept {
-    for (auto& t : traffic_) {
-      t.bytes_read.store(0, std::memory_order_relaxed);
-      t.bytes_written.store(0, std::memory_order_relaxed);
-      t.bytes_written_nt.store(0, std::memory_order_relaxed);
-      t.read_ops.store(0, std::memory_order_relaxed);
-      t.write_ops.store(0, std::memory_order_relaxed);
-    }
   }
 
  private:

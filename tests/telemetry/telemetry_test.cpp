@@ -38,13 +38,6 @@ TEST(TrafficCounters, DeltaSinceSnapshot) {
   EXPECT_EQ(d.read_ops, 1u);
 }
 
-TEST(TrafficCounters, ResetClears) {
-  TrafficCounters c;
-  c.record_write(sim::kSlow, 99);
-  c.reset();
-  EXPECT_EQ(c.device(sim::kSlow).total(), 0u);
-}
-
 TEST(TimeSeries, RecordsSamples) {
   TimeSeries s("x");
   EXPECT_TRUE(s.empty());
