@@ -611,11 +611,6 @@ TenantId DataManager::register_tenant(std::string name) {
   return id;
 }
 
-std::size_t DataManager::tenant_count() const {
-  sync::lock lock(tenants_mu_);
-  return tenant_count_;
-}
-
 void DataManager::set_tenant_quota(TenantId tenant, sim::DeviceId dev,
                                    std::size_t bytes) {
   CA_CHECK(dev.value < heaps_.size(), "unknown device id");
@@ -682,11 +677,6 @@ DataManager::DeviceStats DataManager::device_stats(sim::DeviceId dev) const {
 std::size_t DataManager::capacity(sim::DeviceId dev) const {
   sync::lock heap_lock(heap_mu_);
   return heap(dev).alloc->capacity();
-}
-
-std::size_t DataManager::free_bytes(sim::DeviceId dev) const {
-  sync::lock heap_lock(heap_mu_);
-  return heap(dev).alloc->stats().free_bytes;
 }
 
 std::size_t DataManager::resident_bytes() const {

@@ -273,9 +273,6 @@ class DataManager {
   /// (including the default) may exist.
   TenantId register_tenant(std::string name) CA_EXCLUDES(tenants_mu_);
 
-  /// Number of registered tenants (>= 1: the default tenant).
-  [[nodiscard]] std::size_t tenant_count() const CA_EXCLUDES(tenants_mu_);
-
   /// The fairness/QoS knob: cap `tenant`'s resident bytes on `dev` at
   /// `bytes` (0 = unlimited, the default).  An allocation that would push
   /// the tenant past its quota fails like heap exhaustion and is counted
@@ -299,7 +296,6 @@ class DataManager {
   }
   [[nodiscard]] DeviceStats device_stats(sim::DeviceId dev) const;
   [[nodiscard]] std::size_t capacity(sim::DeviceId dev) const;
-  [[nodiscard]] std::size_t free_bytes(sim::DeviceId dev) const;
 
   /// Total bytes currently allocated across all device heaps (the resident
   /// heap footprint plotted in Fig. 3).

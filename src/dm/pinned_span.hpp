@@ -110,7 +110,7 @@ class PinnedSpan {
       : dm_(&dm),
         object_(&object),
         region_(&region),
-        data_(region.data()),  // ca_lint: allow(region-data-route)
+        data_(region.data()),
         size_(object.size()),
         id_(id) {}
 

@@ -23,7 +23,7 @@
 //
 // The graph is global and *accumulates* across ca::race explorer
 // schedules, so an ordering edge produced by one rare interleaving is
-// still visible when tools/lockdep_check.py diffs the dumped graph against
+// still visible when tools/ca_lint.py diffs the dumped graph against
 // the sanctioned hierarchy in docs/lock_hierarchy.json.  Reports, by
 // contrast, are drained by the tests per schedule (take_reports), so a
 // hazard is flagged in every schedule that executes it.
@@ -64,7 +64,7 @@ struct ClassInfo {
   /// Acquisitions observed since the last reset_for_testing().  A class
   /// that is merely *registered* (its CA_LOCK_CLASS static ran) but never
   /// acquired by the sanctioned workload gives lockdep zero ordering
-  /// evidence -- tools/lockdep_check.py fails such classes as unexercised,
+  /// evidence -- tools/ca_lint.py fails such classes as unexercised,
   /// so coverage claims rest on acquisitions, not on registration.
   std::atomic<std::uint64_t> acquires{0};
 };
@@ -162,7 +162,7 @@ std::vector<LockdepReport> take_reports();
 [[nodiscard]] std::vector<std::string> held_classes();
 
 /// Serialize classes + edges + blocking occurrences as JSON, the format
-/// tools/lockdep_check.py diffs against docs/lock_hierarchy.json.
+/// tools/ca_lint.py --lockdep-graph diffs against docs/lock_hierarchy.json.
 [[nodiscard]] std::string dump_graph_json();
 
 /// Drop every edge, blocking record and report.  Class registrations are

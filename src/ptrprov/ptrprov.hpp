@@ -23,10 +23,10 @@
 //     invalidated it;
 //
 //   * the set of observed acquire sites accumulates across ca::race
-//     explorer schedules, so tools/ptrprov_check.py can diff it against
-//     the manifest in docs/pointer_provenance.json (the static half: the
-//     region-data-route ca_lint rule confines bare Region::data() calls to
-//     the same manifest).
+//     explorer schedules, so tools/ca_lint.py --ptrprov-sites can diff it
+//     against the manifest in docs/pointer_provenance.json (the static
+//     half: ca_lint's Region::data() scan confines bare extractions to the
+//     same manifest).
 //
 // Reports are drained per explorer schedule (take_reports) so a hazard is
 // flagged in every schedule that executes it; the observed-site table, like
@@ -153,8 +153,9 @@ std::vector<ProvenanceReport> take_reports();
 /// explorer schedules, like the lockdep graph).
 [[nodiscard]] std::vector<SiteInfo> observed_sites();
 
-/// Serialize the observed sites as JSON, the format tools/ptrprov_check.py
-/// diffs against docs/pointer_provenance.json.
+/// Serialize the observed sites as JSON, the format
+/// tools/ca_lint.py --ptrprov-sites diffs against
+/// docs/pointer_provenance.json.
 [[nodiscard]] std::string dump_registry_json();
 
 /// Drop every region mirror, span record, observed site and report.  For

@@ -19,10 +19,6 @@ BandwidthCurve::BandwidthCurve(std::initializer_list<Point> points)
   }
 }
 
-BandwidthCurve BandwidthCurve::flat(double bytes_per_sec) {
-  return BandwidthCurve{{1, bytes_per_sec}};
-}
-
 double BandwidthCurve::at(std::size_t threads) const {
   CA_CHECK(!points_.empty(), "bandwidth curve is empty");
   if (threads <= points_.front().threads) {

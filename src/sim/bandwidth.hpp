@@ -30,9 +30,6 @@ class BandwidthCurve {
   /// flat outside the given range.
   BandwidthCurve(std::initializer_list<Point> points);
 
-  /// Constant bandwidth regardless of parallelism.
-  static BandwidthCurve flat(double bytes_per_sec);
-
   /// Bandwidth achieved when `threads` workers drive the device.
   [[nodiscard]] double at(std::size_t threads) const;
 

@@ -1,20 +1,12 @@
 #include "telemetry/report.hpp"
 
-#include <cstdio>
 #include <fstream>
 
 #include "simd/copy.hpp"
 #include "simd/isa.hpp"
+#include "util/format.hpp"
 
 namespace ca::telemetry {
-
-namespace {
-std::string fixed(double v, int digits) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.*f", digits, v);
-  return buf;
-}
-}  // namespace
 
 std::string csv_escape(const std::string& field) {
   const bool needs_quoting =
@@ -51,12 +43,12 @@ bool write_csv(const std::string& path,
 
 std::string format_kernel_report(const KernelCounters& k) {
   std::string out = "gemm " + std::to_string(k.gemm_calls) + " calls " +
-                    fixed(k.gemm_seconds * 1e3, 2) + "ms " +
-                    fixed(k.gemm_gflops(), 2) + " GFLOP/s";
+                    util::format_fixed(k.gemm_seconds * 1e3, 2) + "ms " +
+                    util::format_fixed(k.gemm_gflops(), 2) + " GFLOP/s";
   out += " | im2col " + std::to_string(k.im2col_calls) + " calls " +
-         fixed(k.im2col_seconds * 1e3, 2) + "ms";
+         util::format_fixed(k.im2col_seconds * 1e3, 2) + "ms";
   out += " | eltwise " + std::to_string(k.eltwise_calls) + " calls " +
-         fixed(k.eltwise_seconds * 1e3, 2) + "ms";
+         util::format_fixed(k.eltwise_seconds * 1e3, 2) + "ms";
   return out;
 }
 

@@ -46,7 +46,7 @@
 // exists, so the in-source declarations are compiler-checked; CA_LEAF marks
 // a mutex under which no other lock may be taken (no Clang analogue — it is
 // a documentation token).  Both are parsed, byte-for-byte, by
-// tools/lockdep_check.py and cross-checked against docs/lock_hierarchy.json
+// tools/ca_lint.py and cross-checked against docs/lock_hierarchy.json
 // and against the runtime-observed graph, so an edge declared in only one
 // place fails CI.  Gate per attribute: acquired_before is newer than
 // guarded_by and absent in some Clang releases.

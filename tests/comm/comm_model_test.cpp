@@ -18,7 +18,7 @@ namespace {
 LinkModel flat_link(double latency = 1e-3, double bw = 1024.0 * 1024.0) {
   LinkModel link;
   link.latency_s = latency;
-  link.curve = sim::BandwidthCurve::flat(bw);
+  link.curve = sim::BandwidthCurve{{1, bw}};
   return link;
 }
 

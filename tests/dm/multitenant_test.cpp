@@ -37,13 +37,11 @@ class MultitenantFixture : public ::testing::Test {
 };
 
 TEST_F(MultitenantFixture, RegistrationAssignsSequentialIdsUpToTheCap) {
-  EXPECT_EQ(dm_.tenant_count(), 1u);  // the default tenant
   std::vector<dm::TenantId> ids;
   for (std::size_t i = 1; i < dm::kMaxTenants; ++i) {
     ids.push_back(dm_.register_tenant("tenant-" + std::to_string(i)));
     EXPECT_EQ(ids.back().value, i);
   }
-  EXPECT_EQ(dm_.tenant_count(), dm::kMaxTenants);
   EXPECT_THROW(dm_.register_tenant("one-too-many"), UsageError);
 }
 
@@ -310,7 +308,6 @@ TEST_F(MultitenantFixture, ConcurrentRegistrationStaysWithinTheCap) {
   // rest are refused.
   EXPECT_EQ(registered.load(), dm::kMaxTenants - 1);
   EXPECT_EQ(refused.load(), kThreads * kAttempts - (dm::kMaxTenants - 1));
-  EXPECT_EQ(dm_.tenant_count(), dm::kMaxTenants);
 }
 
 }  // namespace

@@ -7,10 +7,10 @@
 // edge (objects_mu_ -> heap_mu_), zero held-across-blocking occurrences.
 //
 // When CA_LOCKDEP_DUMP names a file, the observed graph is serialized there
-// for tools/lockdep_check.py --graph, which diffs it against the manifest
-// in both directions (an undeclared runtime edge fails, and so does a
-// declared class the workload never exercised).  tools/check.sh's lockdep
-// stage runs exactly this test with the dump enabled.
+// for tools/ca_lint.py --lockdep-graph, which diffs it against the
+// manifest in both directions (an undeclared runtime edge fails, and so
+// does a declared class the workload never exercised).  tools/check.sh's
+// race stage runs this test with the dump enabled.
 //
 // Requires a CA_LOCKDEP_ENABLED build; self-skips elsewhere.
 #include <gtest/gtest.h>
@@ -43,7 +43,7 @@ namespace ca {
 namespace {
 
 /// Every production lock class the manifest declares.  Keep in sync with
-/// docs/lock_hierarchy.json (tools/lockdep_check.py enforces the manifest
+/// docs/lock_hierarchy.json (tools/ca_lint.py enforces the manifest
 /// against the annotations and against this test's dump).
 const char* const kProductionClasses[] = {
     "comm::CommEngine::mu_",         "comm::Reduction::State::mu",
@@ -154,7 +154,7 @@ TEST(LockdepGraph, SanctionedWorkloadMatchesDeclaredHierarchy) {
   run_sanctioned_workload();
 
   // Every declared class registered (the dump below would otherwise pass
-  // trivially by never exercising a subsystem).  tools/lockdep_check.py
+  // trivially by never exercising a subsystem).  tools/ca_lint.py
   // additionally requires each class's dumped `acquires` count to be
   // non-zero -- registration alone is not coverage.
   const std::string dump = lockdep::dump_graph_json();
@@ -190,7 +190,7 @@ TEST(LockdepGraph, SanctionedWorkloadMatchesDeclaredHierarchy) {
   }
   EXPECT_EQ(lockdep::report_count(), 0u);
 
-  // Hand the observed graph to tools/lockdep_check.py when asked.
+  // Hand the observed graph to tools/ca_lint.py when asked.
   if (const char* path = std::getenv("CA_LOCKDEP_DUMP")) {
     std::ofstream out(path);
     ASSERT_TRUE(out.good()) << "cannot write CA_LOCKDEP_DUMP file " << path;

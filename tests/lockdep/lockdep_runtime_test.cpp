@@ -1,7 +1,7 @@
 // Unit tests for the ca::lockdep runtime half: class registry, held-stack
 // bookkeeping, acquisition-order graph, cycle detection, recursive-class
 // detection, held-across-blocking (with waivers and cv-wait exclusion), and
-// the deterministic JSON dump tools/lockdep_check.py consumes.
+// the deterministic JSON dump tools/ca_lint.py consumes.
 //
 // These run against raw ca::sync::mutex instances with test-local lock
 // classes -- no DataManager -- so each detector is exercised in isolation.

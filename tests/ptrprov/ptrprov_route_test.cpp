@@ -2,8 +2,8 @@
 // actually ships -- CachedArray with_read/with_write and the DNN engine's
 // argument spans, both PinnedSpan acquires -- runs through the
 // provenance analyzer without a single report, and leaves behind exactly
-// the observed-site ledger docs/pointer_provenance.json declares (the
-// tools/ptrprov_check.py runtime diff consumes the dump this suite writes
+// the observed-site ledger docs/pointer_provenance.json declares
+// (tools/ca_lint.py --ptrprov-sites consumes the dump this suite writes
 // when CA_PTRPROV_DUMP is set).
 //
 // Needs any CA_PTRPROV_ENABLED build; self-skips elsewhere.
@@ -119,7 +119,7 @@ TEST(PtrprovRoutes, ObservedSitesCoverTheDeclaredAccessors) {
 
 TEST(PtrprovRoutes, DumpObservedSitesWhenRequested) {
   // tools/check.sh sets CA_PTRPROV_DUMP and feeds the file to
-  // tools/ptrprov_check.py --runtime for the manifest <-> runtime diff.
+  // tools/ca_lint.py --ptrprov-sites for the manifest <-> runtime diff.
   const char* path = std::getenv("CA_PTRPROV_DUMP");
   if (path == nullptr || path[0] == '\0') {
     GTEST_SKIP() << "CA_PTRPROV_DUMP not set";

@@ -8,7 +8,7 @@ namespace ca::sim {
 namespace {
 
 TEST(BandwidthCurve, FlatCurve) {
-  const auto c = BandwidthCurve::flat(100.0);
+  const BandwidthCurve c{{1, 100.0}};
   EXPECT_DOUBLE_EQ(c.at(1), 100.0);
   EXPECT_DOUBLE_EQ(c.at(64), 100.0);
   EXPECT_DOUBLE_EQ(c.peak(), 100.0);
