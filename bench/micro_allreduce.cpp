@@ -68,17 +68,13 @@ dnn::ModelSpec dp_model(bool smoke) {
 }
 
 struct ModeResult {
-  dp::StepMetrics m;         // steady-state average
+  dp::StepMetrics m;  // steady-state average; picks summed over the steps
   double wall_seconds = 0.0;
-  std::uint64_t wire_bytes = 0;  // per step
-  std::uint64_t ring_picks = 0;
-  std::uint64_t tree_picks = 0;
 };
 
 ModeResult run_mode(const dp::TrainerConfig& cfg, int warmup, int iters) {
   dp::Trainer trainer(cfg);
   for (int i = 0; i < warmup; ++i) trainer.step();
-  const telemetry::CommCounters c0 = trainer.comm_counters();
   const double w0 = wall_now();
   dp::StepMetrics sum;
   for (int i = 0; i < iters; ++i) {
@@ -90,6 +86,9 @@ ModeResult run_mode(const dp::TrainerConfig& cfg, int warmup, int iters) {
     sum.comm_exposed_seconds += m.comm_exposed_seconds;
     sum.comm_overlapped_seconds += m.comm_overlapped_seconds;
     sum.buckets = m.buckets;
+    sum.wire_bytes += m.wire_bytes;
+    sum.ring_picks += m.ring_picks;
+    sum.tree_picks += m.tree_picks;
   }
   ModeResult r;
   r.wall_seconds = wall_now() - w0;
@@ -101,15 +100,14 @@ ModeResult run_mode(const dp::TrainerConfig& cfg, int warmup, int iters) {
   r.m.comm_exposed_seconds = sum.comm_exposed_seconds * inv;
   r.m.comm_overlapped_seconds = sum.comm_overlapped_seconds * inv;
   r.m.buckets = sum.buckets;
+  r.m.wire_bytes = sum.wire_bytes / iters;
+  r.m.ring_picks = sum.ring_picks;
+  r.m.tree_picks = sum.tree_picks;
   r.m.samples_per_second =
       r.m.step_seconds > 0.0
           ? static_cast<double>(cfg.workers * cfg.model.batch) /
                 r.m.step_seconds
           : 0.0;
-  const telemetry::CommCounters dc = trainer.comm_counters().delta(c0);
-  r.wire_bytes = dc.bytes_on_wire / iters;
-  r.ring_picks = dc.ring_picks;
-  r.tree_picks = dc.tree_picks;
   return r;
 }
 
@@ -163,8 +161,8 @@ int main(int argc, char** argv) {
           label.c_str(), r.m.step_seconds, r.m.samples_per_second,
           r.m.comm_busy_seconds, r.m.comm_exposed_seconds,
           r.m.comm_overlapped_seconds, r.m.buckets,
-          util::format_bytes(r.wire_bytes).c_str());
-      report.add(label, r.m.step_seconds, r.wall_seconds, r.wire_bytes);
+          util::format_bytes(r.m.wire_bytes).c_str());
+      report.add(label, r.m.step_seconds, r.wall_seconds, r.m.wire_bytes);
       report.add_metric("samples/sim-s: " + label, r.m.samples_per_second);
       report.add_metric("comm exposed s: " + label,
                         r.m.comm_exposed_seconds);
@@ -176,7 +174,7 @@ int main(int argc, char** argv) {
                       util::format_fixed(r.m.comm_exposed_seconds, 4),
                       util::format_fixed(r.m.comm_overlapped_seconds, 4),
                       std::to_string(r.m.buckets),
-                      std::to_string(r.wire_bytes),
+                      std::to_string(r.m.wire_bytes),
                       util::format_fixed(r.wall_seconds, 3)});
     }
     const double thr_gain =
@@ -199,9 +197,9 @@ int main(int argc, char** argv) {
         "comm-exposed seconds, " + kt + " serialized vs overlapped",
         exposed_gain);
     report.add_metric("ring picks: " + kt,
-                      static_cast<double>(res[1].ring_picks));
+                      static_cast<double>(res[1].m.ring_picks));
     report.add_metric("tree picks: " + kt,
-                      static_cast<double>(res[1].tree_picks));
+                      static_cast<double>(res[1].m.tree_picks));
   }
 
   // --- ring-vs-tree crossover (pure cost model, the per-bucket pick) ------

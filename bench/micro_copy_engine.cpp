@@ -154,10 +154,9 @@ int main(int argc, char** argv) {
                            {"NVRAM", rig.counters.device(sim::kSlow)
                                          .bytes_written_nt}})
                           .c_str());
-  std::printf("engine stats: %llu copies, %llu bytes, %llu nt bytes\n",
+  std::printf("engine stats: %llu copies, %llu bytes\n",
               static_cast<unsigned long long>(rig.engine.stats().copies),
-              static_cast<unsigned long long>(rig.engine.stats().bytes),
-              static_cast<unsigned long long>(rig.engine.stats().nt_bytes));
+              static_cast<unsigned long long>(rig.engine.stats().bytes));
 
   simd::set_level(entry);
   report.write(argc, argv, "micro_copy_engine.csv");

@@ -113,12 +113,10 @@ void table3(const char* dir) {
                              .nvram = 64 * util::MiB,
                              .iterations = 1});
     const auto& m = result.steady();
-    std::uint64_t kernels = 0;
-    for (const auto& [name, op] : m.ops.ops()) kernels += op.calls;
     rows.push_back({klass, spec.name, std::to_string(spec.batch),
                     mib(m.peak_resident_bytes) + " MiB",
                     std::to_string(result.parameters / 1000) + "k",
-                    std::to_string(kernels)});
+                    std::to_string(m.kernel_launches)});
   }
   std::fputs(util::render_table(rows).c_str(), stdout);
   maybe_write_csv(dir, "table3_models.csv", rows);

@@ -20,21 +20,21 @@ namespace {
 
 void heap_map(core::Runtime& rt, sim::DeviceId dev) {
   // One character per 1/64th of the heap: '#' allocated, '.' free.
-  const auto stats = rt.manager().device_stats(dev);
+  const auto stats = rt.manager().device_stats(dev).alloc;
   std::string map(64, '.');
   // Reconstruct from region listing via the allocator is internal; use the
   // occupancy fraction per bucket through public queries: we approximate
   // with overall occupancy here and mark the fraction.
-  const double frac = static_cast<double>(stats.allocated) /
+  const double frac = static_cast<double>(stats.allocated_bytes) /
                       static_cast<double>(stats.capacity);
   for (std::size_t i = 0; i < static_cast<std::size_t>(frac * 64.0); ++i) {
     map[i] = '#';
   }
   std::printf("  %-6s [%s] %s / %s, frag %.0f%%, %zu regions\n",
               sim::to_string(rt.platform().spec(dev).kind), map.c_str(),
-              util::format_bytes(stats.allocated).c_str(),
+              util::format_bytes(stats.allocated_bytes).c_str(),
               util::format_bytes(stats.capacity).c_str(),
-              100.0 * stats.fragmentation, stats.regions);
+              100.0 * stats.fragmentation(), stats.allocated_blocks);
 }
 
 }  // namespace
@@ -69,7 +69,7 @@ int main() {
 
   auto& rt = harness.runtime();
   auto& lru = static_cast<policy::LruPolicy&>(rt.policy());
-  policy::LruPolicy::OpStats prev_ops;
+  policy::LruPolicy::Stats prev_ops;
 
   for (int iter = 0; iter < 3; ++iter) {
     const auto m = trainer.run_iteration();

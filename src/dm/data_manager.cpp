@@ -381,7 +381,6 @@ double DataManager::copyto_async(Region& dst, Region& src) {
     }
   }
   async_counters_.scheduled.fetch_add(1, std::memory_order_relaxed);
-  async_counters_.bytes.fetch_add(src.size(), std::memory_order_relaxed);
   CA_AUDIT(*this);
   return done;
 }
@@ -580,9 +579,7 @@ bool DataManager::evictfrom(sim::DeviceId dev, std::size_t start_offset,
             "evictfrom: eviction callback returned success without freeing "
             "the region");
       }
-      slot.evictions_caused.fetch_add(1, std::memory_order_relaxed);
-      tenant_slot(victim).evictions_suffered.fetch_add(
-          1, std::memory_order_relaxed);
+      slot.evictions.fetch_add(1, std::memory_order_relaxed);
       continue;  // re-examine the same window
     }
 
@@ -639,10 +636,7 @@ TenantStats DataManager::tenant_stats(TenantId tenant) const {
   }
   s.allocations = slot.allocations.load(std::memory_order_relaxed);
   s.frees = slot.frees.load(std::memory_order_relaxed);
-  s.evictions_caused =
-      slot.evictions_caused.load(std::memory_order_relaxed);
-  s.evictions_suffered =
-      slot.evictions_suffered.load(std::memory_order_relaxed);
+  s.evictions = slot.evictions.load(std::memory_order_relaxed);
   s.evictions_refused =
       slot.evictions_refused.load(std::memory_order_relaxed);
   s.quota_denials = slot.quota_denials.load(std::memory_order_relaxed);
@@ -658,14 +652,7 @@ DataManager::DeviceStats DataManager::device_stats(sim::DeviceId dev) const {
   DeviceStats out;
   {
     sync::lock heap_lock(heap_mu_);
-    const auto s = h.alloc->stats();
-    out.capacity = s.capacity;
-    out.allocated = s.allocated_bytes;
-    out.free_bytes = s.free_bytes;
-    out.largest_free_block = s.largest_free_block;
-    out.regions = s.allocated_blocks;
-    out.fragmentation = s.fragmentation();
-    out.alloc = s.counters();
+    out.alloc = h.alloc->stats();
   }
   for (std::size_t t = 0; t < kMaxTenants; ++t) {
     out.tenant_resident[t] =
@@ -682,7 +669,7 @@ std::size_t DataManager::capacity(sim::DeviceId dev) const {
 std::size_t DataManager::resident_bytes() const {
   sync::lock heap_lock(heap_mu_);
   std::size_t total = 0;
-  for (const auto& h : heaps_) total += h->alloc->stats().allocated_bytes;
+  for (const auto& h : heaps_) total += h->alloc->allocated_bytes();
   return total;
 }
 

@@ -58,27 +58,19 @@ class PinnedSpan;
 class DataManager {
  public:
   struct DeviceStats {
-    std::size_t capacity = 0;
-    std::size_t allocated = 0;
-    std::size_t free_bytes = 0;
-    std::size_t largest_free_block = 0;
-    std::size_t regions = 0;
-    double fragmentation = 0.0;
-
-    /// Hot-path counters of the device's binned heap allocator (splits,
-    /// coalesces, bin hit rate); see telemetry::AllocatorCounters.
-    telemetry::AllocatorCounters alloc;
+    /// The device heap allocator's statistics: occupancy, fragmentation and
+    /// the hot-path counters (splits, coalesces, bin hit rate).
+    mem::FreeListAllocator::Stats alloc;
 
     /// Bytes resident on this device per tenant slot (heap-aligned; the
-    /// sum over live tenants equals `allocated` -- audit invariant
-    /// dm.tenant.resident).
+    /// sum over live tenants equals `alloc.allocated_bytes` -- audit
+    /// invariant dm.tenant.resident).
     std::array<std::size_t, kMaxTenants> tenant_resident = {};
   };
 
   /// Aggregate statistics for asynchronous transfers (paper §V-c).
   struct AsyncStats {
     std::uint64_t scheduled = 0;      ///< copyto_async calls
-    std::uint64_t bytes = 0;          ///< bytes scheduled asynchronously
     std::uint64_t retired = 0;        ///< transfers fully completed + retired
     std::uint64_t stalls = 0;         ///< wait_ready calls that had to stall
     double stall_seconds = 0.0;       ///< simulated seconds spent stalling
@@ -199,7 +191,6 @@ class DataManager {
   [[nodiscard]] AsyncStats async_stats() const {
     AsyncStats s;
     s.scheduled = async_counters_.scheduled.load(std::memory_order_relaxed);
-    s.bytes = async_counters_.bytes.load(std::memory_order_relaxed);
     s.retired = async_counters_.retired.load(std::memory_order_relaxed);
     s.stalls = async_counters_.stalls.load(std::memory_order_relaxed);
     s.stall_seconds =
@@ -286,7 +277,7 @@ class DataManager {
                                          sim::DeviceId dev) const;
 
   /// Lock-free snapshot of one tenant's accounting (resident bytes per
-  /// tier, evictions caused/suffered, quota denials, stall time).
+  /// tier, evictions, quota denials, stall time).
   [[nodiscard]] TenantStats tenant_stats(TenantId tenant) const;
 
   // --- Device functions ---------------------------------------------------
@@ -396,8 +387,7 @@ class DataManager {
     std::array<std::atomic<std::size_t>, TenantStats::kMaxDevices> quota{};
     std::atomic<std::uint64_t> allocations{0};
     std::atomic<std::uint64_t> frees{0};
-    std::atomic<std::uint64_t> evictions_caused{0};
-    std::atomic<std::uint64_t> evictions_suffered{0};
+    std::atomic<std::uint64_t> evictions{0};
     std::atomic<std::uint64_t> evictions_refused{0};
     std::atomic<std::uint64_t> quota_denials{0};
     std::atomic<std::uint64_t> stalls{0};
@@ -408,7 +398,6 @@ class DataManager {
   /// field-for-field, so async_stats() needs no lock.
   struct AsyncCounters {
     std::atomic<std::uint64_t> scheduled{0};
-    std::atomic<std::uint64_t> bytes{0};
     std::atomic<std::uint64_t> retired{0};
     std::atomic<std::uint64_t> stalls{0};
     std::atomic<double> stall_seconds{0.0};

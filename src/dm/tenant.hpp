@@ -50,10 +50,9 @@ struct TenantStats {
 
   std::uint64_t allocations = 0;       ///< successful region allocations
   std::uint64_t frees = 0;             ///< region releases (any path)
-  std::uint64_t evictions_caused = 0;  ///< evictfrom calls this tenant issued
-                                       ///< that displaced another tenant
-  std::uint64_t evictions_suffered = 0;  ///< regions this tenant lost to
-                                         ///< another tenant's evictfrom
+  std::uint64_t evictions = 0;  ///< own regions this tenant's evictfrom
+                                ///< calls relocated (evictfrom never
+                                ///< displaces another tenant's region)
   std::uint64_t evictions_refused = 0;  ///< foreign victims this tenant's
                                         ///< evictfrom scans skipped (tenant
                                         ///< isolation refusals)

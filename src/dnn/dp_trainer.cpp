@@ -223,6 +223,7 @@ StepMetrics Trainer::step() {
   // --- modeled step timeline ----------------------------------------------
   const comm::CommStats comm1 = comm_.stats();
   m.buckets = n_buckets;
+  m.wire_bytes = comm1.bytes_on_wire - comm0.bytes_on_wire;
   m.ring_picks = comm1.ring_picks - comm0.ring_picks;
   m.tree_picks = comm1.tree_picks - comm0.tree_picks;
   m.comm_busy_seconds = comm1.busy_seconds - comm0.busy_seconds;
@@ -241,14 +242,6 @@ StepMetrics Trainer::step() {
   // the comm seconds the step could not hide.
   heap_->clock.advance(m.comm_exposed_seconds, sim::TimeCategory::kMovement);
   step_base_ += m.step_seconds;
-
-  comm_counters_.reductions += comm1.reductions - comm0.reductions;
-  comm_counters_.bytes_on_wire += comm1.bytes_on_wire - comm0.bytes_on_wire;
-  comm_counters_.ring_picks += m.ring_picks;
-  comm_counters_.tree_picks += m.tree_picks;
-  comm_counters_.comm_seconds += m.comm_busy_seconds;
-  comm_counters_.exposed_seconds += m.comm_exposed_seconds;
-  comm_counters_.overlapped_seconds += m.comm_overlapped_seconds;
 
   ++iter_;
   return m;

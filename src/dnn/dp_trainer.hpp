@@ -40,7 +40,6 @@
 #include "dnn/engine.hpp"
 #include "dnn/exec_context.hpp"
 #include "dnn/models.hpp"
-#include "telemetry/counters.hpp"
 #include "util/align.hpp"
 
 namespace ca::dp {
@@ -83,6 +82,7 @@ struct StepMetrics {
   double comm_exposed_seconds = 0.0;  ///< comm the step stalled on
   double comm_overlapped_seconds = 0.0;
   std::size_t buckets = 0;
+  std::uint64_t wire_bytes = 0;  ///< comm::CommStats::bytes_on_wire delta
   std::uint64_t ring_picks = 0;
   std::uint64_t tree_picks = 0;
   /// Aggregate throughput: workers * batch / step_seconds.
@@ -115,11 +115,6 @@ class Trainer {
   }
   [[nodiscard]] core::Runtime& worker_runtime(std::size_t w) {
     return *workers_.at(w)->rt;
-  }
-
-  /// Cumulative comm accounting across steps (telemetry rollup).
-  [[nodiscard]] const telemetry::CommCounters& comm_counters() const noexcept {
-    return comm_counters_;
   }
 
   /// Bucket count (valid after the first step, when the layout is built).
@@ -164,7 +159,6 @@ class Trainer {
 
   double step_base_ = 0.0;  ///< absolute modeled start of the next step
   std::uint64_t iter_ = 0;
-  telemetry::CommCounters comm_counters_;
 };
 
 }  // namespace ca::dp

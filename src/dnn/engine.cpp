@@ -65,8 +65,7 @@ void Engine::fill_labels(Tensor& t, std::size_t classes, std::uint64_t seed) {
 
 // --- kernel launch ---------------------------------------------------------
 
-void Engine::execute_args(const std::string& name,
-                          const std::vector<KernelArg>& args, double flops,
+void Engine::execute_args(const std::vector<KernelArg>& args, double flops,
                           double efficiency, const RealFn& real_fn) {
   std::vector<dm::Object*> objs;
   objs.reserve(args.size());
@@ -117,7 +116,6 @@ void Engine::execute_args(const std::string& name,
   stats_.compute_seconds += comp_s;
   stats_.memory_seconds += mem_s;
   stats_.kernel_seconds += std::max(mem_s, comp_s);
-  stats_.op_histogram.record(name, std::max(mem_s, comp_s));
 
   // Resolve the indirection once per argument through the provenance-
   // tracked accessor; writes mark the primary dirty in both backends.
@@ -144,8 +142,7 @@ void Engine::execute_args(const std::string& name,
   if (kernel_hook_) kernel_hook_();
 }
 
-void Engine::execute(const std::string& name,
-                     const std::vector<Tensor>& reads,
+void Engine::execute(const std::vector<Tensor>& reads,
                      const std::vector<Tensor>& writes, double flops,
                      double efficiency, const RealFn& real_fn,
                      int read_passes) {
@@ -157,7 +154,7 @@ void Engine::execute(const std::string& name,
   for (const auto& t : writes) {
     args.push_back({t, /*write=*/true, 0, 1, /*partial=*/false});
   }
-  execute_args(name, args, flops, efficiency, real_fn);
+  execute_args(args, flops, efficiency, real_fn);
 }
 
 void Engine::record(TapeEntry entry) {
@@ -193,7 +190,7 @@ Tensor Engine::conv2d(const Tensor& x, const Tensor& w, const Tensor& b,
   d.pad = pad;
 
   Tensor y = tensor({d.n, d.cout, d.hout(), d.wout()}, "conv.y");
-  execute("conv2d", {x, w, b}, {y}, d.flops(), config_.compute_efficiency,
+  execute({x, w, b}, {y}, d.flops(), config_.compute_efficiency,
           [d](const real::KernelCtx& kctx,
               const std::vector<const float*>& r,
               const std::vector<float*>& wr) {
@@ -202,14 +199,13 @@ Tensor Engine::conv2d(const Tensor& x, const Tensor& w, const Tensor& b,
           config_.conv_read_passes);
 
   TapeEntry e;
-  e.name = "conv2d";
   e.inputs = {x, w, b};
   e.outputs = {y};
   e.backward = [x, w, b, d](Engine& eng, const std::vector<Tensor>& gout)
       -> std::vector<Tensor> {
     const Tensor& gy = gout[0];
     Tensor gx = eng.tensor(x.shape(), "conv.gx");
-    eng.execute("conv2d_bwd_data", {w, gy}, {gx}, d.flops(),
+    eng.execute({w, gy}, {gx}, d.flops(),
                 eng.config_.compute_efficiency,
                 [d](const real::KernelCtx& kctx,
                     const std::vector<const float*>& r,
@@ -218,7 +214,7 @@ Tensor Engine::conv2d(const Tensor& x, const Tensor& w, const Tensor& b,
                 },
                 eng.config().conv_read_passes);
     Tensor gw = eng.tensor(w.shape(), "conv.gw");
-    eng.execute("conv2d_bwd_weights", {x, gy}, {gw}, d.flops(),
+    eng.execute({x, gy}, {gw}, d.flops(),
                 eng.config_.compute_efficiency,
                 [d](const real::KernelCtx& kctx,
                     const std::vector<const float*>& r,
@@ -227,7 +223,7 @@ Tensor Engine::conv2d(const Tensor& x, const Tensor& w, const Tensor& b,
                 },
                 eng.config().conv_read_passes);
     Tensor gb = eng.tensor(b.shape(), "conv.gb");
-    eng.execute("conv2d_bwd_bias", {gy}, {gb},
+    eng.execute({gy}, {gb},
                 static_cast<double>(gy.numel()), kEltwiseEfficiency,
                 [d](const real::KernelCtx& kctx,
                     const std::vector<const float*>& r,
@@ -243,20 +239,19 @@ Tensor Engine::conv2d(const Tensor& x, const Tensor& w, const Tensor& b,
 Tensor Engine::relu(const Tensor& x) {
   Tensor y = tensor(x.shape(), "relu.y");
   const auto n = x.numel();
-  execute("relu", {x}, {y}, static_cast<double>(n), kEltwiseEfficiency,
+  execute({x}, {y}, static_cast<double>(n), kEltwiseEfficiency,
           [n](const real::KernelCtx& kctx,
               const std::vector<const float*>& r,
               const std::vector<float*>& w) {
             real::relu_fwd(kctx, r[0], w[0], n);
           });
   TapeEntry e;
-  e.name = "relu";
   e.inputs = {x};
   e.outputs = {y};
   e.backward = [x, n](Engine& eng, const std::vector<Tensor>& gout)
       -> std::vector<Tensor> {
     Tensor gx = eng.tensor(x.shape(), "relu.gx");
-    eng.execute("relu_bwd", {x, gout[0]}, {gx}, static_cast<double>(n),
+    eng.execute({x, gout[0]}, {gx}, static_cast<double>(n),
                 kEltwiseEfficiency,
                 [n](const real::KernelCtx& kctx,
                     const std::vector<const float*>& r,
@@ -275,7 +270,7 @@ Tensor Engine::maxpool2(const Tensor& x) {
            "maxpool2 expects even NCHW spatial dims");
   Tensor y = tensor({s.n(), s.c(), s.h() / 2, s.w() / 2}, "pool.y");
   const std::size_t n = s.n(), c = s.c(), h = s.h(), w = s.w();
-  execute("maxpool2", {x}, {y}, static_cast<double>(x.numel()),
+  execute({x}, {y}, static_cast<double>(x.numel()),
           kEltwiseEfficiency,
           [=](const real::KernelCtx& kctx,
               const std::vector<const float*>& r,
@@ -283,13 +278,12 @@ Tensor Engine::maxpool2(const Tensor& x) {
             real::maxpool2_fwd(kctx, r[0], wr[0], n, c, h, w);
           });
   TapeEntry e;
-  e.name = "maxpool2";
   e.inputs = {x};
   e.outputs = {y};
   e.backward = [x, n, c, h, w](Engine& eng, const std::vector<Tensor>& gout)
       -> std::vector<Tensor> {
     Tensor gx = eng.tensor(x.shape(), "pool.gx");
-    eng.execute("maxpool2_bwd", {x, gout[0]}, {gx},
+    eng.execute({x, gout[0]}, {gx},
                 static_cast<double>(x.numel()), kEltwiseEfficiency,
                 [=](const real::KernelCtx& kctx,
                     const std::vector<const float*>& r,
@@ -307,7 +301,7 @@ Tensor Engine::global_avgpool(const Tensor& x) {
   CA_CHECK(s.rank() == 4, "global_avgpool expects NCHW");
   Tensor y = tensor({s.n(), s.c()}, "gap.y");
   const std::size_t n = s.n(), c = s.c(), h = s.h(), w = s.w();
-  execute("global_avgpool", {x}, {y}, static_cast<double>(x.numel()),
+  execute({x}, {y}, static_cast<double>(x.numel()),
           kEltwiseEfficiency,
           [=](const real::KernelCtx& kctx,
               const std::vector<const float*>& r,
@@ -315,13 +309,12 @@ Tensor Engine::global_avgpool(const Tensor& x) {
             real::global_avgpool_fwd(kctx, r[0], wr[0], n, c, h, w);
           });
   TapeEntry e;
-  e.name = "global_avgpool";
   e.inputs = {x};
   e.outputs = {y};
   e.backward = [x, n, c, h, w](Engine& eng, const std::vector<Tensor>& gout)
       -> std::vector<Tensor> {
     Tensor gx = eng.tensor(x.shape(), "gap.gx");
-    eng.execute("global_avgpool_bwd", {gout[0]}, {gx},
+    eng.execute({gout[0]}, {gx},
                 static_cast<double>(x.numel()), kEltwiseEfficiency,
                 [=](const real::KernelCtx& kctx,
                     const std::vector<const float*>& r,
@@ -344,7 +337,7 @@ Tensor Engine::batchnorm(const Tensor& x, const Tensor& gamma,
   Tensor mean = tensor({s.c()}, "bn.mean");
   Tensor istd = tensor({s.c()}, "bn.istd");
   const std::size_t n = s.n(), c = s.c(), h = s.h(), w = s.w();
-  execute("batchnorm", {x, gamma, beta}, {y, mean, istd},
+  execute({x, gamma, beta}, {y, mean, istd},
           8.0 * static_cast<double>(x.numel()), kEltwiseEfficiency,
           [=](const real::KernelCtx& kctx,
               const std::vector<const float*>& r,
@@ -353,7 +346,6 @@ Tensor Engine::batchnorm(const Tensor& x, const Tensor& gamma,
                                 n, c, h, w, 1e-5f);
           });
   TapeEntry e;
-  e.name = "batchnorm";
   e.inputs = {x, gamma, beta};
   e.outputs = {y, mean, istd};
   e.backward = [x, gamma, mean, istd, n, c, h, w](
@@ -362,7 +354,7 @@ Tensor Engine::batchnorm(const Tensor& x, const Tensor& gamma,
     Tensor gx = eng.tensor(x.shape(), "bn.gx");
     Tensor ggamma = eng.tensor(gamma.shape(), "bn.ggamma");
     Tensor gbeta = eng.tensor(gamma.shape(), "bn.gbeta");
-    eng.execute("batchnorm_bwd", {x, gamma, mean, istd, gout[0]},
+    eng.execute({x, gamma, mean, istd, gout[0]},
                 {gx, ggamma, gbeta}, 12.0 * static_cast<double>(x.numel()),
                 kEltwiseEfficiency,
                 [=](const real::KernelCtx& kctx,
@@ -387,7 +379,7 @@ Tensor Engine::dense(const Tensor& x, const Tensor& w, const Tensor& b) {
   CA_CHECK(b.numel() == out, "dense bias size mismatch");
   Tensor y = tensor({n, out}, "dense.y");
   const double flops = 2.0 * static_cast<double>(n) * in * out;
-  execute("dense", {x, w, b}, {y}, flops, config_.compute_efficiency,
+  execute({x, w, b}, {y}, flops, config_.compute_efficiency,
           [=](const real::KernelCtx& kctx,
               const std::vector<const float*>& r,
               const std::vector<float*>& wr) {
@@ -395,7 +387,6 @@ Tensor Engine::dense(const Tensor& x, const Tensor& w, const Tensor& b) {
           },
           config_.conv_read_passes);
   TapeEntry e;
-  e.name = "dense";
   e.inputs = {x, w, b};
   e.outputs = {y};
   e.backward = [x, w, b, n, in, out, flops](
@@ -403,7 +394,7 @@ Tensor Engine::dense(const Tensor& x, const Tensor& w, const Tensor& b) {
       -> std::vector<Tensor> {
     const Tensor& gy = gout[0];
     Tensor gx = eng.tensor(x.shape(), "dense.gx");
-    eng.execute("dense_bwd_data", {w, gy}, {gx}, flops,
+    eng.execute({w, gy}, {gx}, flops,
                 eng.config_.compute_efficiency,
                 [=](const real::KernelCtx& kctx,
                     const std::vector<const float*>& r,
@@ -412,7 +403,7 @@ Tensor Engine::dense(const Tensor& x, const Tensor& w, const Tensor& b) {
                 },
                 eng.config().conv_read_passes);
     Tensor gw = eng.tensor(w.shape(), "dense.gw");
-    eng.execute("dense_bwd_weights", {x, gy}, {gw}, flops,
+    eng.execute({x, gy}, {gw}, flops,
                 eng.config_.compute_efficiency,
                 [=](const real::KernelCtx& kctx,
                     const std::vector<const float*>& r,
@@ -421,7 +412,7 @@ Tensor Engine::dense(const Tensor& x, const Tensor& w, const Tensor& b) {
                 },
                 eng.config().conv_read_passes);
     Tensor gb = eng.tensor(b.shape(), "dense.gb");
-    eng.execute("dense_bwd_bias", {gy}, {gb}, static_cast<double>(gy.numel()),
+    eng.execute({gy}, {gb}, static_cast<double>(gy.numel()),
                 kEltwiseEfficiency,
                 [=](const real::KernelCtx& kctx,
                     const std::vector<const float*>& r,
@@ -439,14 +430,13 @@ Tensor Engine::add(const Tensor& a, const Tensor& b) {
   CA_CHECK(!(a == b), "add(x, x) is not supported");
   Tensor y = tensor(a.shape(), "add.y");
   const auto n = a.numel();
-  execute("add", {a, b}, {y}, static_cast<double>(n), kEltwiseEfficiency,
+  execute({a, b}, {y}, static_cast<double>(n), kEltwiseEfficiency,
           [n](const real::KernelCtx& kctx,
               const std::vector<const float*>& r,
               const std::vector<float*>& w) {
             real::add_fwd(kctx, r[0], r[1], w[0], n);
           });
   TapeEntry e;
-  e.name = "add";
   e.inputs = {a, b};
   e.outputs = {y};
   e.backward = [](Engine&, const std::vector<Tensor>& gout)
@@ -469,7 +459,7 @@ Tensor Engine::concat(const Tensor& a, const Tensor& b) {
   Tensor y = tensor({sa.n(), sa.c() + sb.c(), sa.h(), sa.w()}, "concat.y");
   const std::size_t n = sa.n(), ca = sa.c(), cb = sb.c(), h = sa.h(),
                     w = sa.w();
-  execute("concat", {a, b}, {y}, static_cast<double>(y.numel()),
+  execute({a, b}, {y}, static_cast<double>(y.numel()),
           kEltwiseEfficiency,
           [=](const real::KernelCtx& kctx,
               const std::vector<const float*>& r,
@@ -477,7 +467,6 @@ Tensor Engine::concat(const Tensor& a, const Tensor& b) {
             real::concat_fwd(kctx, r[0], r[1], wr[0], n, ca, cb, h, w);
           });
   TapeEntry e;
-  e.name = "concat";
   e.inputs = {a, b};
   e.outputs = {y};
   e.backward = [a, b, n, ca, cb, h, w](Engine& eng,
@@ -485,7 +474,7 @@ Tensor Engine::concat(const Tensor& a, const Tensor& b) {
       -> std::vector<Tensor> {
     Tensor ga = eng.tensor(a.shape(), "concat.ga");
     Tensor gb = eng.tensor(b.shape(), "concat.gb");
-    eng.execute("concat_bwd", {gout[0]}, {ga, gb},
+    eng.execute({gout[0]}, {ga, gb},
                 static_cast<double>(gout[0].numel()), kEltwiseEfficiency,
                 [=](const real::KernelCtx& kctx,
                     const std::vector<const float*>& r,
@@ -508,7 +497,6 @@ Tensor Engine::embedding_lookup(const Tensor& table, const Tensor& indices,
 
   Tensor out = tensor({batch, dim}, "embed.out");
   execute_args(
-      "embedding_lookup",
       {{table, /*write=*/false, touched, 1, /*partial=*/true},
        {indices, false, 0, 1, false},
        {out, /*write=*/true, 0, 1, false}},
@@ -520,7 +508,6 @@ Tensor Engine::embedding_lookup(const Tensor& table, const Tensor& indices,
       });
 
   TapeEntry e;
-  e.name = "embedding_lookup";
   e.inputs = {table, indices};
   e.outputs = {out};
   e.backward = [table, indices, lr, batch, dim, touched](
@@ -531,7 +518,6 @@ Tensor Engine::embedding_lookup(const Tensor& table, const Tensor& indices,
     // instead of migrating the whole table.
     Tensor mutable_table = table;
     eng.execute_args(
-        "embedding_scatter_sgd",
         {{gout[0], false, 0, 1, false},
          {indices, false, 0, 1, false},
          {mutable_table, /*write=*/true, touched, 1, /*partial=*/true}},
@@ -554,7 +540,7 @@ float Engine::softmax_ce_loss(const Tensor& logits, const Tensor& labels) {
   CA_CHECK(labels.numel() == n, "one label per sample");
   Tensor probs = tensor(logits.shape(), "loss.probs");
   float loss = 0.0f;
-  execute("softmax_ce", {logits, labels}, {probs},
+  execute({logits, labels}, {probs},
           8.0 * static_cast<double>(logits.numel()), kEltwiseEfficiency,
           [&, n, classes](const real::KernelCtx& kctx,
                           const std::vector<const float*>& r,
@@ -562,7 +548,6 @@ float Engine::softmax_ce_loss(const Tensor& logits, const Tensor& labels) {
             loss = real::softmax_ce_fwd(kctx, r[0], r[1], w[0], n, classes);
           });
   TapeEntry e;
-  e.name = "softmax_ce";
   e.inputs = {logits, labels};
   e.outputs = {probs};
   e.is_loss = true;
@@ -570,7 +555,7 @@ float Engine::softmax_ce_loss(const Tensor& logits, const Tensor& labels) {
                    Engine& eng, const std::vector<Tensor>&)
       -> std::vector<Tensor> {
     Tensor gx = eng.tensor(logits.shape(), "loss.gx");
-    eng.execute("softmax_ce_bwd", {probs, labels}, {gx},
+    eng.execute({probs, labels}, {gx},
                 static_cast<double>(logits.numel()), kEltwiseEfficiency,
                 [=](const real::KernelCtx& kctx,
                     const std::vector<const float*>& r,
@@ -606,7 +591,7 @@ void Engine::accumulate_grad(const Tensor& target, Tensor g) {
     // gradient); copy-on-write before modifying.
     Tensor copy = tensor(acc.shape(), "grad.cow");
     const auto n = acc.numel();
-    execute("grad_copy", {acc}, {copy}, static_cast<double>(n),
+    execute({acc}, {copy}, static_cast<double>(n),
             kEltwiseEfficiency,
             [n](const real::KernelCtx&, const std::vector<const float*>& r,
                 const std::vector<float*>& w) {
@@ -618,7 +603,7 @@ void Engine::accumulate_grad(const Tensor& target, Tensor g) {
     ++grad_uses_[acc.array().identity()];
   }
   const auto n = acc.numel();
-  execute("grad_accumulate", {g, acc}, {acc}, static_cast<double>(n),
+  execute({g, acc}, {acc}, static_cast<double>(n),
           kEltwiseEfficiency,
           [n](const real::KernelCtx& kctx,
               const std::vector<const float*>& r,
@@ -748,7 +733,7 @@ void Engine::sgd_step(float lr) {
     Tensor g = grad(p);
     if (!g.valid()) continue;
     const auto n = p.numel();
-    execute("sgd_update", {g, p}, {p}, 2.0 * static_cast<double>(n),
+    execute({g, p}, {p}, 2.0 * static_cast<double>(n),
             kEltwiseEfficiency,
             [n, lr](const real::KernelCtx& kctx,
                     const std::vector<const float*>& r,

@@ -36,7 +36,7 @@ IterationMetrics Trainer::run_iteration() {
   const dm::DataManager::AsyncStats async0 = rt.manager().async_stats();
   const telemetry::KernelCounters kernels0 =
       engine.stats().kernel_counters;
-  const telemetry::OpHistogram ops0 = engine.stats().op_histogram;
+  const std::uint64_t launches0 = engine.stats().kernels;
   peak_resident_ = rt.manager().resident_bytes();
 
   IterationMetrics m;
@@ -77,7 +77,7 @@ IterationMetrics Trainer::run_iteration() {
   m.async_overlap_seconds = async1.overlap_seconds - async0.overlap_seconds;
   m.async_inflight_peak = async1.inflight_peak;
   m.kernels = engine.stats().kernel_counters.delta(kernels0);
-  m.ops = engine.stats().op_histogram.delta(ops0);
+  m.kernel_launches = engine.stats().kernels - launches0;
 
   if (harness_->cache() != nullptr) {
     const auto& now = harness_->cache()->stats();

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 #include "dnn/harness.hpp"
 #include "dnn/models.hpp"
@@ -42,9 +43,8 @@ struct IterationMetrics {
   /// rate.
   telemetry::KernelCounters kernels;
 
-  /// Per-op-type roofline seconds over the iteration, keyed by launch name
-  /// ("conv2d", "dense_bwd_data", ...): names the slowest layer family.
-  telemetry::OpHistogram ops;
+  /// Kernel launches over the iteration: the delta of EngineStats::kernels.
+  std::uint64_t kernel_launches = 0;
 };
 
 struct TrainerOptions {

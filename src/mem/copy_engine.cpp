@@ -67,13 +67,12 @@ std::uint64_t CopyEngine::modeled_nt_bytes(std::size_t bytes,
                                            simd::CopyHint hint) const {
   // The simd NT path engages per chunk, so model it at the engine's
   // chunking: all full chunks plus the tail, each gated on kNtThreshold.
-  // Deterministic by construction (no pointer alignment involved).
-  const simd::IsaLevel level = simd::active_level();
+  // Deterministic by construction (no pointer alignment or ISA involved).
   const std::size_t chunk = platform_.copy_chunk;
   const std::size_t full = bytes / chunk;
   const std::size_t tail = bytes % chunk;
-  return full * simd::nt_bytes_for(chunk, hint, level) +
-         simd::nt_bytes_for(tail, hint, level);
+  return full * simd::nt_bytes_for(chunk, hint) +
+         simd::nt_bytes_for(tail, hint);
 }
 
 void CopyEngine::copy(void* dst, sim::DeviceId dst_dev, const void* src,
@@ -115,7 +114,6 @@ void CopyEngine::copy(void* dst, sim::DeviceId dst_dev, const void* src,
     ++stats_.copies;
     stats_.bytes += bytes;
     stats_.seconds += seconds;
-    stats_.nt_bytes += nt;
     stats_.latency_seconds += platform_.spec(src_dev).op_latency_s +
                               platform_.spec(dst_dev).op_latency_s;
   }
@@ -198,7 +196,6 @@ Transfer CopyEngine::copy_async(void* dst, sim::DeviceId dst_dev,
     ++stats_.async_copies;
     stats_.async_bytes += bytes;
     stats_.async_seconds += duration;
-    stats_.nt_bytes += nt;
   }
   const double done = start + duration;
 
@@ -272,7 +269,6 @@ void CopyEngine::fill_zero(void* dst, sim::DeviceId dst_dev,
     sync::lock lock(mu_);
     ++stats_.fills;
     stats_.fill_bytes += bytes;
-    stats_.nt_bytes += nt;
   }
 }
 

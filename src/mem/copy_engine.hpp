@@ -15,9 +15,10 @@
 // The real copy earns the NT treatment the model charges for: writebacks
 // (transfers toward a slower device) pass CopyHint::kWriteback down the
 // util::copy_bytes funnel, so the dispatched simd kernels stream them with
-// _mm*_stream NT stores instead of dirtying the cache.  The bytes routed
-// through that path are accounted in Stats::nt_bytes and per destination
-// device in TrafficCounters::bytes_written_nt.
+// _mm*_stream NT stores instead of dirtying the cache.  The modeled NT
+// bytes -- from the hint and the chunk sizes alone, so the same on every
+// host ISA -- are accounted per destination device in
+// TrafficCounters::bytes_written_nt.
 //
 // Asynchronous transfers (§V-c) run on a dedicated mover pool with
 // `Platform::mover_channels` independent channels, split between the two
@@ -65,11 +66,6 @@ class CopyEngine {
     std::uint64_t async_copies = 0;    ///< transfers scheduled on the mover
     std::uint64_t async_bytes = 0;     ///< bytes moved asynchronously
     double async_seconds = 0.0;        ///< modeled channel occupancy, summed
-    /// Bytes (sync + async + fills) routed through the NT-store writeback
-    /// path of the dispatched simd copy kernels.  Modeled per chunk --
-    /// deterministic across runs -- and mirrored per-device in
-    /// TrafficCounters::bytes_written_nt.
-    std::uint64_t nt_bytes = 0;
   };
 
   CopyEngine(const sim::Platform& platform, sim::Clock& clock,

@@ -52,7 +52,6 @@
 #include <utility>
 #include <vector>
 
-#include "telemetry/counters.hpp"
 #include "util/align.hpp"
 #include "util/cache_align.hpp"
 
@@ -96,22 +95,6 @@ class FreeListAllocator {
       return 1.0 - static_cast<double>(largest_free_block) /
                        static_cast<double>(free_bytes);
     }
-
-    /// The subset the telemetry report consumes (counters.hpp).
-    [[nodiscard]] telemetry::AllocatorCounters counters() const noexcept {
-      telemetry::AllocatorCounters c;
-      c.total_allocs = total_allocs;
-      c.total_frees = total_frees;
-      c.failed_allocs = failed_allocs;
-      c.splits = splits;
-      c.coalesces = coalesces;
-      c.bin_exact_hits = bin_exact_hits;
-      c.bin_spill_allocs = bin_spill_allocs;
-      c.free_blocks = free_blocks;
-      c.largest_free_block = largest_free_block;
-      c.fragmentation = fragmentation();
-      return c;
-    }
   };
 
   /// `capacity` bytes of heap; all blocks are multiples of `alignment`
@@ -126,6 +109,11 @@ class FreeListAllocator {
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   [[nodiscard]] std::size_t alignment() const noexcept { return alignment_; }
   [[nodiscard]] Fit fit() const noexcept { return fit_; }
+  /// Bytes in allocated blocks; stats().allocated_bytes without the
+  /// largest-free-block scan.
+  [[nodiscard]] std::size_t allocated_bytes() const noexcept {
+    return allocated_bytes_;
+  }
 
   /// Allocate `size` bytes (rounded up to the alignment).  Returns the
   /// block offset, or nullopt if no free block fits.  Never throws for
@@ -323,10 +311,10 @@ class FreeListAllocator {
   std::size_t allocated_bytes_ = 0;
   std::size_t allocated_blocks_ = 0;
   std::size_t free_blocks_ = 0;
-  // The AllocatorCounters event tallies are bumped on every alloc/free;
-  // start the run on its own cache line so counter writes never ping the
-  // line holding the bin bitmap / head words (telemetry snapshots and,
-  // ahead, per-shard allocators packed side by side read those).
+  // The Stats event tallies are bumped on every alloc/free; start the run
+  // on its own cache line so counter writes never ping the line holding
+  // the bin bitmap / head words (telemetry snapshots and, ahead, per-shard
+  // allocators packed side by side read those).
   alignas(util::kCacheLineSize) std::uint64_t total_allocs_ = 0;
   std::uint64_t total_frees_ = 0;
   std::uint64_t failed_allocs_ = 0;

@@ -87,7 +87,7 @@ struct LruPolicyConfig {
 
 class LruPolicy final : public Policy {
  public:
-  struct OpStats {
+  struct Stats {
     std::uint64_t evictions = 0;
     std::uint64_t eviction_bytes = 0;
     std::uint64_t elided_writebacks = 0;  ///< clean evicts: no copy needed
@@ -115,7 +115,7 @@ class LruPolicy final : public Policy {
   bool retire(dm::Object& object) override;
   void on_destroy(dm::Object& object) override;
 
-  [[nodiscard]] const OpStats& op_stats() const noexcept { return stats_; }
+  [[nodiscard]] const Stats& op_stats() const noexcept { return stats_; }
   [[nodiscard]] const LruPolicyConfig& config() const noexcept {
     return config_;
   }
@@ -168,7 +168,7 @@ class LruPolicy final : public Policy {
 
   dm::DataManager& dm_;
   LruPolicyConfig config_;
-  OpStats stats_;
+  Stats stats_;
   std::unordered_map<const dm::Object*, Node> nodes_;
   util::IntrusiveList<Node, &Node::lru_hook> lru_;
   std::vector<dm::Object*> archive_trace_;  ///< forward-pass archive order

@@ -101,13 +101,7 @@ bool TieredLruPolicy::move_to_tier(dm::Object& object, std::size_t target) {
   // Link before copying so copyto synchronizes both dirty bits (see the
   // same pattern in LruPolicy::prefetch).
   dm_.link(*x, *y);
-  if (config_.async_movement) {
-    // The copy rides a mover channel; free(x) below joins the real bytes
-    // only, and y's ready_at carries the dependency to the next consumer.
-    dm_.copyto_async(*y, *x);
-  } else {
-    dm_.copyto(*y, *x);
-  }
+  dm_.copyto(*y, *x);
   dm_.setprimary(object, *y);
   dm_.free(x);
   stats_.bytes_moved += object.size();
@@ -149,23 +143,13 @@ bool TieredLruPolicy::promote(dm::Object& object) {
 
 void TieredLruPolicy::will_use(dm::Object& object) { will_read(object); }
 
-void TieredLruPolicy::will_read(dm::Object& object) {
-  if (config_.promote_on_use) promote(object);
-}
+void TieredLruPolicy::will_read(dm::Object& object) { promote(object); }
 
-void TieredLruPolicy::will_write(dm::Object& object) {
-  if (config_.promote_on_use) promote(object);
-}
+void TieredLruPolicy::will_write(dm::Object& object) { promote(object); }
 
 void TieredLruPolicy::archive(dm::Object& object) {
   Node& n = node(object);
   if (n.hook.linked()) lists_[n.tier].move_to_back(n);
-}
-
-bool TieredLruPolicy::retire(dm::Object& object) {
-  if (config_.eager_retire) return true;
-  archive(object);
-  return false;
 }
 
 void TieredLruPolicy::on_destroy(dm::Object& object) {

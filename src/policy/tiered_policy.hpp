@@ -27,24 +27,13 @@ struct TieredLruPolicyConfig {
   /// Device ids ordered fastest -> slowest.  At least two tiers.
   std::vector<sim::DeviceId> tiers;
 
-  bool eager_retire = true;
-
-  /// Hints promote objects to the top tier.
-  bool promote_on_use = true;
-
   /// Objects smaller than this stay wherever they were born.
   std::size_t min_migratable = 64 * util::KiB;
-
-  /// Move objects between tiers on the asynchronous mover: demotions become
-  /// write-behind (the vacated window is reused immediately) and promotions
-  /// overlap with execution, with consumers stalling only for the unfinished
-  /// remainder at first use.
-  bool async_movement = false;
 };
 
 class TieredLruPolicy final : public Policy {
  public:
-  struct OpStats {
+  struct Stats {
     std::uint64_t demotions = 0;   ///< one-tier-down moves
     std::uint64_t promotions = 0;  ///< moves to the top tier
     std::uint64_t bytes_moved = 0;
@@ -57,10 +46,11 @@ class TieredLruPolicy final : public Policy {
   void will_read(dm::Object& object) override;
   void will_write(dm::Object& object) override;
   void archive(dm::Object& object) override;
-  bool retire(dm::Object& object) override;
+  /// Always eager (optimization M): the storage is released at once.
+  bool retire(dm::Object&) override { return true; }
   void on_destroy(dm::Object& object) override;
 
-  [[nodiscard]] const OpStats& op_stats() const noexcept { return stats_; }
+  [[nodiscard]] const Stats& op_stats() const noexcept { return stats_; }
   [[nodiscard]] std::size_t tier_count() const noexcept {
     return config_.tiers.size();
   }
@@ -103,7 +93,7 @@ class TieredLruPolicy final : public Policy {
 
   dm::DataManager& dm_;
   TieredLruPolicyConfig config_;
-  OpStats stats_;
+  Stats stats_;
   std::unordered_map<const dm::Object*, Node> nodes_;
   std::vector<Lru> lists_;
 };

@@ -13,16 +13,14 @@ namespace {
 /// edge, and must not become a CA_RACE schedule point.
 std::atomic<std::uint64_t> g_nt_bytes{0};
 
-const CopyOps* ops_for(IsaLevel level) noexcept {
-  // Clamp as gemm_tile() does: never hand out NT kernels the CPU cannot
-  // run, whatever level a caller (or the nt_bytes_for model) asks about.
-  const IsaLevel cap = max_supported_level();
-  if (cap < level) level = cap;
-  if (level >= IsaLevel::kAvx512) {
-    if (const CopyOps* ops = copy_ops_avx512()) return ops;
-  }
-  if (level >= IsaLevel::kAvx2) {
-    if (const CopyOps* ops = copy_ops_avx2()) return ops;
+/// NT kernels of the active level, or nullptr at kScalar.  active_level()
+/// never exceeds max_supported_level(), which requires the level's
+/// provider, so the kernels returned are always runnable here.
+const CopyOps* active_ops() noexcept {
+  switch (active_level()) {
+    case IsaLevel::kAvx512: return copy_ops_avx512();
+    case IsaLevel::kAvx2: return copy_ops_avx2();
+    case IsaLevel::kScalar: break;
   }
   return nullptr;
 }
@@ -33,7 +31,7 @@ std::size_t copy_bytes(void* dst, const void* src, std::size_t n,
                        CopyHint hint) {
   if (n == 0) return 0;
   if (hint == CopyHint::kWriteback && n >= kNtThreshold) {
-    if (const CopyOps* ops = ops_for(active_level())) {
+    if (const CopyOps* ops = active_ops()) {
       const std::size_t streamed = ops->copy_nt(dst, src, n);
       g_nt_bytes.fetch_add(streamed, std::memory_order_relaxed);
       return streamed;
@@ -46,7 +44,7 @@ std::size_t copy_bytes(void* dst, const void* src, std::size_t n,
 std::size_t fill_zero(void* dst, std::size_t n, CopyHint hint) {
   if (n == 0) return 0;
   if (hint == CopyHint::kWriteback && n >= kNtThreshold) {
-    if (const CopyOps* ops = ops_for(active_level())) {
+    if (const CopyOps* ops = active_ops()) {
       const std::size_t streamed = ops->fill_nt(dst, n);
       g_nt_bytes.fetch_add(streamed, std::memory_order_relaxed);
       return streamed;
@@ -56,10 +54,8 @@ std::size_t fill_zero(void* dst, std::size_t n, CopyHint hint) {
   return 0;
 }
 
-std::size_t nt_bytes_for(std::size_t n, CopyHint hint,
-                         IsaLevel level) noexcept {
-  if (hint != CopyHint::kWriteback || n < kNtThreshold) return 0;
-  return ops_for(level) != nullptr ? n : 0;
+std::size_t nt_bytes_for(std::size_t n, CopyHint hint) noexcept {
+  return hint == CopyHint::kWriteback && n >= kNtThreshold ? n : 0;
 }
 
 std::uint64_t nt_store_bytes() noexcept {

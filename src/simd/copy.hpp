@@ -52,13 +52,14 @@ std::size_t copy_bytes(void* dst, const void* src, std::size_t n,
 std::size_t fill_zero(void* dst, std::size_t n,
                       CopyHint hint = CopyHint::kTemporal);
 
-/// Deterministic model of the NT byte count a copy/fill of `n` bytes under
-/// `hint` at `level` would stream: `n` when the NT path engages, else 0.
-/// (The real kernels stream slightly less -- the unaligned head and tail
-/// go through memcpy -- but the model must not depend on pointer values,
-/// so CopyEngine's per-device accounting stays reproducible.)
-std::size_t nt_bytes_for(std::size_t n, CopyHint hint,
-                         IsaLevel level) noexcept;
+/// Deterministic model of the NT byte count of a copy/fill of `n` bytes
+/// under `hint`: `n` when the hint is kWriteback and `n` clears
+/// kNtThreshold, else 0.  It follows the timing model, which charges the
+/// NT write curve whatever the host's dispatch level, so it depends on
+/// neither pointer values nor the ISA.  The real kernels stream at most
+/// this: less by the unaligned head and tail, and nothing at a level
+/// without NT kernels.
+std::size_t nt_bytes_for(std::size_t n, CopyHint hint) noexcept;
 
 /// Process-wide count of bytes actually issued as NT stores.  Telemetry
 /// only (relaxed accumulation); monotone non-decreasing.

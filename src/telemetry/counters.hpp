@@ -9,8 +9,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <map>
-#include <string>
 
 #include "sim/device.hpp"
 
@@ -20,8 +18,9 @@ struct DeviceTraffic {
   std::uint64_t bytes_read = 0;
   std::uint64_t bytes_written = 0;
   /// Subset of bytes_written modeled as non-temporal (streamed) stores:
-  /// CopyEngine writebacks and zero-fills that take the simd NT path.  The
-  /// paper's NVRAM guidance (§V-d) makes this split worth watching per
+  /// CopyEngine writebacks and zero-fills whose chunks clear the simd NT
+  /// threshold, whatever the host's dispatch level (simd::nt_bytes_for).
+  /// The paper's NVRAM guidance (§V-d) makes this split worth watching per
   /// device.
   std::uint64_t bytes_written_nt = 0;
   std::uint64_t read_ops = 0;
@@ -64,94 +63,6 @@ struct KernelCounters {
     d.eltwise_seconds = eltwise_seconds - snap.eltwise_seconds;
     return d;
   }
-};
-
-/// Heap-allocator telemetry: the binned free-list allocator's hot-path
-/// counters (mem::FreeListAllocator::Stats::counters() produces one).
-/// All counts are event totals since construction; latency is measured in
-/// bench/micro_allocator (wall clocks are banned in src/).
-struct AllocatorCounters {
-  std::uint64_t total_allocs = 0;
-  std::uint64_t total_frees = 0;
-  std::uint64_t failed_allocs = 0;
-  std::uint64_t splits = 0;            ///< allocations that split a block
-  std::uint64_t coalesces = 0;         ///< neighbour merges inside free()
-  std::uint64_t bin_exact_hits = 0;    ///< allocs served from the home bin
-  std::uint64_t bin_spill_allocs = 0;  ///< allocs served from a higher bin
-  std::size_t free_blocks = 0;
-  std::size_t largest_free_block = 0;
-  double fragmentation = 0.0;
-};
-
-/// Data-parallel communication accounting (DESIGN.md §3.6).  Counts come
-/// from comm::CommEngine (wire bytes, per-algorithm picks); the seconds
-/// split comes from dp::Trainer's overlap timeline: of the modeled
-/// interconnect occupancy, how much hid behind backward compute
-/// (overlapped) and how much extended the step (exposed).  All seconds are
-/// simulated -- nothing here reads a wall clock.
-struct CommCounters {
-  std::uint64_t reductions = 0;
-  std::uint64_t bytes_on_wire = 0;
-  std::uint64_t ring_picks = 0;
-  std::uint64_t tree_picks = 0;
-  double comm_seconds = 0.0;        ///< modeled collective occupancy, summed
-  double exposed_seconds = 0.0;     ///< comm time the step stalled on
-  double overlapped_seconds = 0.0;  ///< comm time hidden behind compute
-
-  [[nodiscard]] CommCounters delta(const CommCounters& snap) const {
-    CommCounters d;
-    d.reductions = reductions - snap.reductions;
-    d.bytes_on_wire = bytes_on_wire - snap.bytes_on_wire;
-    d.ring_picks = ring_picks - snap.ring_picks;
-    d.tree_picks = tree_picks - snap.tree_picks;
-    d.comm_seconds = comm_seconds - snap.comm_seconds;
-    d.exposed_seconds = exposed_seconds - snap.exposed_seconds;
-    d.overlapped_seconds = overlapped_seconds - snap.overlapped_seconds;
-    return d;
-  }
-};
-
-/// Accounting for one kernel op type (e.g. "conv2d_bwd_weights").  Seconds
-/// are *simulated* roofline seconds -- max(memory, compute) as charged to
-/// sim::Clock -- so the histogram attributes the modeled iteration time.
-struct OpStats {
-  std::uint64_t calls = 0;
-  double seconds = 0.0;
-};
-
-/// Per-op-type kernel histogram: which layer family the iteration spent
-/// its time in.  Keyed by the launch name the engine passes to
-/// execute_args ("conv2d", "dense_bwd_data", "sgd_update", ...).
-class OpHistogram {
- public:
-  void record(const std::string& name, double seconds) {
-    auto& s = ops_[name];
-    ++s.calls;
-    s.seconds += seconds;
-  }
-
-  [[nodiscard]] const std::map<std::string, OpStats>& ops() const noexcept {
-    return ops_;
-  }
-
-  /// Difference since a snapshot (ops only ever accumulate); entries whose
-  /// delta is zero calls are dropped.
-  [[nodiscard]] OpHistogram delta(const OpHistogram& snap) const {
-    OpHistogram d;
-    for (const auto& [name, now] : ops_) {
-      OpStats s = now;
-      const auto it = snap.ops_.find(name);
-      if (it != snap.ops_.end()) {
-        s.calls -= it->second.calls;
-        s.seconds -= it->second.seconds;
-      }
-      if (s.calls != 0) d.ops_.emplace(name, s);
-    }
-    return d;
-  }
-
- private:
-  std::map<std::string, OpStats> ops_;
 };
 
 /// Per-device traffic accounting.  Devices are addressed by sim::DeviceId.

@@ -456,7 +456,7 @@ class StressHarness {
     ASSERT_EQ(dm_.live_regions(), model_region_count) << "step " << step;
     for (std::uint32_t d = 0; d < dm_.device_count(); ++d) {
       const auto stats = dm_.device_stats({d});
-      ASSERT_EQ(stats.allocated, model_bytes[d])
+      ASSERT_EQ(stats.alloc.allocated_bytes, model_bytes[d])
           << "allocated-byte drift on device " << d << " at step " << step;
     }
 

@@ -60,9 +60,11 @@ TEST(DpTrainer, StepProducesACoherentOverlapTimeline) {
               m.comm_busy_seconds, 1e-9);
   EXPECT_GT(m.samples_per_second, 0.0);
   EXPECT_EQ(m.ring_picks + m.tree_picks, m.buckets);
-  // The rollup accumulates both steps.
-  EXPECT_EQ(t.comm_counters().reductions, 2 * m.buckets);
-  EXPECT_GT(t.comm_counters().bytes_on_wire, 0u);
+  // The comm engine's cumulative counters cover both steps, and each
+  // step's wire bytes are its delta of them.
+  EXPECT_EQ(t.comm().stats().reductions, 2 * m.buckets);
+  EXPECT_GT(m.wire_bytes, 0u);
+  EXPECT_EQ(t.comm().stats().bytes_on_wire, first.wire_bytes + m.wire_bytes);
 }
 
 TEST(DpTrainer, SerializedBaselineExposesAllCommTime) {

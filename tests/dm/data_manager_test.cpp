@@ -111,12 +111,13 @@ TEST_F(DmApiFixture, DoubleFreeRejected) {
 
 TEST_F(DmApiFixture, DeviceStatsReflectAllocations) {
   const auto before = dm_.device_stats(sim::kFast);
-  EXPECT_EQ(before.allocated, 0u);
+  EXPECT_EQ(before.alloc.allocated_bytes, 0u);
   Region* r = dm_.allocate(sim::kFast, 100 * util::KiB);
   const auto after = dm_.device_stats(sim::kFast);
-  EXPECT_EQ(after.allocated, util::align_up(100 * util::KiB, 64));
-  EXPECT_EQ(after.regions, 1u);
-  EXPECT_LT(after.free_bytes, before.free_bytes);
+  EXPECT_EQ(after.alloc.allocated_bytes,
+            util::align_up(100 * util::KiB, 64));
+  EXPECT_EQ(after.alloc.allocated_blocks, 1u);
+  EXPECT_LT(after.alloc.free_bytes, before.alloc.free_bytes);
   dm_.free(r);
 }
 

@@ -42,14 +42,14 @@ TEST_F(DefragFixture, CompactsFragmentedHeap) {
   dm_.destroy_object(b);
   dm_.destroy_object(d);
 
-  auto before = dm_.device_stats(sim::kFast);
+  const auto before = dm_.device_stats(sim::kFast).alloc;
   EXPECT_LT(before.largest_free_block, before.free_bytes);
 
   dm_.defragment(sim::kFast);
 
-  const auto after = dm_.device_stats(sim::kFast);
+  const auto after = dm_.device_stats(sim::kFast).alloc;
   EXPECT_EQ(after.largest_free_block, after.free_bytes);
-  EXPECT_DOUBLE_EQ(after.fragmentation, 0.0);
+  EXPECT_DOUBLE_EQ(after.fragmentation(), 0.0);
   ASSERT_AUDIT_CLEAN(dm_);
 
   // Contents preserved and regions updated.

@@ -56,7 +56,7 @@ TEST_F(EvictFromFixture, EvictsExactlyTheBlockingRegions) {
   // Fill fast memory with 4 x 64 KiB objects.
   std::vector<Object*> objs;
   for (int i = 0; i < 4; ++i) objs.push_back(make_fast_object(64 * util::KiB));
-  ASSERT_EQ(dm_.device_stats(sim::kFast).free_bytes, 0u);
+  ASSERT_EQ(dm_.device_stats(sim::kFast).alloc.free_bytes, 0u);
 
   // Reclaiming 128 KiB from offset 0 must displace the first two objects
   // and leave the last two untouched.

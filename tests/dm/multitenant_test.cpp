@@ -139,9 +139,9 @@ TEST_F(MultitenantFixture, EvictfromRefusesForeignVictimsWithoutCallback) {
       },
       raider));
   EXPECT_EQ(callbacks, 0u);
-  EXPECT_EQ(dm_.tenant_stats(raider).evictions_caused, 0u);
-  EXPECT_EQ(dm_.tenant_stats(owner).evictions_suffered, 0u);
-  // Self-eviction still works and is counted on both sides of the ledger.
+  EXPECT_EQ(dm_.tenant_stats(raider).evictions, 0u);
+  EXPECT_EQ(dm_.tenant_stats(owner).evictions, 0u);
+  // Self-eviction still works and is counted once, on the requester.
   EXPECT_TRUE(dm_.evictfrom(
       sim::kFast, 0, 64 * util::KiB,
       [&](dm::Region& r) {
@@ -149,8 +149,7 @@ TEST_F(MultitenantFixture, EvictfromRefusesForeignVictimsWithoutCallback) {
         return true;
       },
       owner));
-  EXPECT_EQ(dm_.tenant_stats(owner).evictions_caused, 1u);
-  EXPECT_EQ(dm_.tenant_stats(owner).evictions_suffered, 1u);
+  EXPECT_EQ(dm_.tenant_stats(owner).evictions, 1u);
 }
 
 TEST_F(MultitenantFixture, ForeignVictimRefusalsAreCountedOnTheRequester) {

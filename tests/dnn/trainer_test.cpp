@@ -37,12 +37,17 @@ TEST(Trainer, MetricsAreDeltasNotTotals) {
   Harness h(sim_cfg());
   auto model = build_model(h.engine(), ModelSpec::vgg_tiny());
   Trainer trainer(h, *model);
+  const std::uint64_t launches0 = h.engine().stats().kernels;
   const auto a = trainer.run_iteration();
+  const std::uint64_t launches1 = h.engine().stats().kernels;
   const auto b = trainer.run_iteration();
   // Steady state: same work, so the deltas must be almost identical, not
   // cumulative.
   EXPECT_NEAR(b.seconds, a.seconds, a.seconds);  // same magnitude
   EXPECT_LT(b.seconds, 1.9 * a.seconds);
+  EXPECT_GT(a.kernel_launches, 0u);
+  EXPECT_EQ(a.kernel_launches, launches1 - launches0);
+  EXPECT_EQ(b.kernel_launches, h.engine().stats().kernels - launches1);
 }
 
 TEST(Trainer, SteadyStateIsStable) {

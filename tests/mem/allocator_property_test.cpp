@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <map>
+#include <ostream>
 #include <vector>
 
 #include "audit_clean.hpp"
@@ -20,6 +21,14 @@ struct PropertyParam {
   FreeListAllocator::Fit fit;
   std::size_t max_alloc;
 };
+
+// The struct has padding, so gtest's default raw-byte printout (which
+// gtest_discover_tests puts into every ctest name) would vary per build.
+void PrintTo(const PropertyParam& p, std::ostream* os) {
+  *os << "seed=" << p.seed << " fit="
+      << (p.fit == FreeListAllocator::Fit::kFirstFit ? "first" : "best")
+      << " max=" << p.max_alloc;
+}
 
 class AllocatorProperty : public ::testing::TestWithParam<PropertyParam> {};
 

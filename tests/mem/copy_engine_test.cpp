@@ -223,36 +223,28 @@ TEST_F(CopyEngineTest, MoverHorizonTracksLatestChannel) {
 //
 // The engine charges write_bw_nt in the model and now also *earns* it on
 // the real path: writeback-direction copies stream their full 1 MiB chunks
-// through the NT kernels, and the per-device counters record the modeled
-// streamed bytes deterministically (same value at every dispatch level that
-// has NT kernels, zero at CA_ISA=scalar).
-
-/// Modeled NT bytes for `n` at the engine's chunking and current level:
-/// what counters_.bytes_written_nt / Stats::nt_bytes must report.
-std::uint64_t expected_nt(const sim::Platform& p, std::size_t n) {
-  const std::size_t full = n / p.copy_chunk;
-  const std::size_t tail = n % p.copy_chunk;
-  const simd::IsaLevel level = simd::active_level();
-  return full * simd::nt_bytes_for(p.copy_chunk, simd::CopyHint::kWriteback,
-                                   level) +
-         simd::nt_bytes_for(tail, simd::CopyHint::kWriteback, level);
-}
+// through the NT kernels.  The per-device counters record the modeled
+// streamed bytes, which depend on the hint and the chunk sizes alone: the
+// same value at every dispatch level, CA_ISA=scalar included.  Unless a
+// test says otherwise, its size is whole 1 MiB chunks, each clearing
+// kNtThreshold.
 
 TEST_F(CopyEngineTest, WritebackCopyRecordsNtBytesPerDevice) {
-  const std::size_t n = 5 * util::MiB;  // five full 1 MiB chunks
+  const std::size_t n = 5 * util::MiB;
+  ASSERT_EQ(n % platform_.copy_chunk, 0u);
+  ASSERT_GE(platform_.copy_chunk, simd::kNtThreshold);
   std::vector<std::byte> src(n), dst(n);
-  engine_.copy(dst.data(), sim::kSlow, src.data(), sim::kFast, n);
-
-  const std::uint64_t want = expected_nt(platform_, n);
-  if (simd::active_level() > simd::IsaLevel::kScalar) {
-    ASSERT_EQ(want, n) << "1 MiB chunks clear kNtThreshold";
-  } else {
-    ASSERT_EQ(want, 0u);
+  const simd::IsaLevel entry = simd::active_level();
+  for (const simd::IsaLevel level : {entry, simd::IsaLevel::kScalar}) {
+    simd::set_level(level);
+    const telemetry::DeviceTraffic before = counters_.device(sim::kSlow);
+    engine_.copy(dst.data(), sim::kSlow, src.data(), sim::kFast, n);
+    const telemetry::DeviceTraffic d = counters_.delta(sim::kSlow, before);
+    EXPECT_EQ(d.bytes_written_nt, n) << simd::level_name(level);
+    EXPECT_EQ(d.bytes_written, n);
   }
-  EXPECT_EQ(counters_.device(sim::kSlow).bytes_written_nt, want);
-  EXPECT_EQ(counters_.device(sim::kSlow).bytes_written, n);
+  simd::set_level(entry);
   EXPECT_EQ(counters_.device(sim::kFast).bytes_written_nt, 0u);
-  EXPECT_EQ(engine_.stats().nt_bytes, want);
 }
 
 TEST_F(CopyEngineTest, FetchDirectionNeverStreams) {
@@ -263,7 +255,6 @@ TEST_F(CopyEngineTest, FetchDirectionNeverStreams) {
   engine_.copy(dst.data(), sim::kFast, src.data(), sim::kSlow, n);
   EXPECT_EQ(counters_.device(sim::kFast).bytes_written_nt, 0u);
   EXPECT_EQ(counters_.device(sim::kSlow).bytes_written_nt, 0u);
-  EXPECT_EQ(engine_.stats().nt_bytes, 0u);
 }
 
 TEST_F(CopyEngineTest, TemporalWritebackOptOutNeverStreams) {
@@ -272,7 +263,7 @@ TEST_F(CopyEngineTest, TemporalWritebackOptOutNeverStreams) {
   engine_.copy(dst.data(), sim::kSlow, src.data(), sim::kFast, n,
                /*non_temporal=*/false);
   EXPECT_EQ(counters_.device(sim::kSlow).bytes_written_nt, 0u);
-  EXPECT_EQ(engine_.stats().nt_bytes, 0u);
+  EXPECT_EQ(counters_.device(sim::kFast).bytes_written_nt, 0u);
 }
 
 TEST_F(CopyEngineTest, SubThresholdWritebackStaysTemporal) {
@@ -283,7 +274,7 @@ TEST_F(CopyEngineTest, SubThresholdWritebackStaysTemporal) {
   engine_.copy(dst.data(), sim::kSlow, src.data(), sim::kFast, n);
   EXPECT_EQ(counters_.device(sim::kSlow).bytes_written, n);
   EXPECT_EQ(counters_.device(sim::kSlow).bytes_written_nt, 0u);
-  EXPECT_EQ(engine_.stats().nt_bytes, 0u);
+  EXPECT_EQ(counters_.device(sim::kFast).bytes_written_nt, 0u);
 }
 
 TEST_F(CopyEngineTest, AsyncWritebackRecordsNtAtScheduleTime) {
@@ -294,11 +285,10 @@ TEST_F(CopyEngineTest, AsyncWritebackRecordsNtAtScheduleTime) {
   }
   Transfer t = engine_.copy_async(dst.data(), sim::kSlow, src.data(),
                                   sim::kFast, n, 0.0);
-  const std::uint64_t want = expected_nt(platform_, n);
   // Deterministic accounting happens at schedule time (the mover thread
   // never touches the single-writer counters).
-  EXPECT_EQ(counters_.device(sim::kSlow).bytes_written_nt, want);
-  EXPECT_EQ(engine_.stats().nt_bytes, want);
+  EXPECT_EQ(counters_.device(sim::kSlow).bytes_written_nt, n);
+  EXPECT_EQ(counters_.device(sim::kFast).bytes_written_nt, 0u);
   t.join();
   EXPECT_EQ(std::memcmp(dst.data(), src.data(), n), 0);
 }
@@ -310,9 +300,8 @@ TEST_F(CopyEngineTest, FillZeroStreamsAsWriteback) {
   std::vector<std::byte> buf(n, std::byte{0xFF});
   engine_.fill_zero(buf.data(), sim::kSlow, n);
   for (const auto b : buf) ASSERT_EQ(std::to_integer<int>(b), 0);
-  const std::uint64_t want = expected_nt(platform_, n);
-  EXPECT_EQ(counters_.device(sim::kSlow).bytes_written_nt, want);
-  EXPECT_EQ(engine_.stats().nt_bytes, want);
+  EXPECT_EQ(counters_.device(sim::kSlow).bytes_written_nt, n);
+  EXPECT_EQ(counters_.device(sim::kFast).bytes_written_nt, 0u);
 }
 
 TEST_F(CopyEngineTest, EarliestStartDefersModeledTransfer) {

@@ -46,7 +46,8 @@ TEST_F(ListingFixture, EvictAllocatesSlowCopiesAndFrees) {
   EXPECT_TRUE(dm_.in(*primary, sim::kSlow));
   EXPECT_EQ(obj->region_count(), 1u);  // fast region freed
   EXPECT_EQ(std::to_integer<unsigned>(primary->data()[0]), 0x42u);
-  EXPECT_EQ(dm_.device_stats(sim::kFast).free_bytes, dm_.capacity(sim::kFast));
+  EXPECT_EQ(dm_.device_stats(sim::kFast).alloc.free_bytes,
+            dm_.capacity(sim::kFast));
   dm_.destroy_object(obj);
 }
 

@@ -106,21 +106,17 @@ TEST_F(IsaDispatchTest, GemmTileAboveMaxFallsBackToAProvidedTile) {
 
 TEST_F(IsaDispatchTest, NtBytesModelMatchesTheGatingRules) {
   const std::size_t big = kNtThreshold;
-  // Scalar never streams; vector levels stream exactly n at/above the
-  // threshold under kWriteback, and nothing otherwise.
-  EXPECT_EQ(nt_bytes_for(big, CopyHint::kWriteback, IsaLevel::kScalar), 0u);
-  for (const IsaLevel level : {IsaLevel::kAvx2, IsaLevel::kAvx512}) {
-    // A level the host cannot run clamps to what it can; on a scalar-only
-    // host every request models 0 streamed bytes.
-    const std::size_t streams =
-        max_supported_level() > IsaLevel::kScalar ? big : 0;
-    EXPECT_EQ(nt_bytes_for(big, CopyHint::kWriteback, level), streams);
-    if (streams != 0) {
-      EXPECT_EQ(nt_bytes_for(big + 1, CopyHint::kWriteback, level), big + 1);
-    }
-    EXPECT_EQ(nt_bytes_for(big - 1, CopyHint::kWriteback, level), 0u);
-    EXPECT_EQ(nt_bytes_for(big, CopyHint::kTemporal, level), 0u);
-    EXPECT_EQ(nt_bytes_for(0, CopyHint::kWriteback, level), 0u);
+  // kWriteback at or above the threshold models every byte as streamed,
+  // anything else none -- at every dispatch level, scalar included (a
+  // level the host cannot run clamps; the model must not care).
+  for (const IsaLevel level :
+       {IsaLevel::kScalar, IsaLevel::kAvx2, IsaLevel::kAvx512}) {
+    set_level(level);
+    EXPECT_EQ(nt_bytes_for(big, CopyHint::kWriteback), big);
+    EXPECT_EQ(nt_bytes_for(big + 1, CopyHint::kWriteback), big + 1);
+    EXPECT_EQ(nt_bytes_for(big - 1, CopyHint::kWriteback), 0u);
+    EXPECT_EQ(nt_bytes_for(big, CopyHint::kTemporal), 0u);
+    EXPECT_EQ(nt_bytes_for(0, CopyHint::kWriteback), 0u);
   }
 }
 

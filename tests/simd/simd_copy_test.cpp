@@ -141,20 +141,21 @@ TEST_P(SimdCopyTest, AboveThresholdStreamsAndAccounts) {
   }
 }
 
-// The deterministic model brackets reality: modeled-n engages exactly when
-// the real call streams a nonzero count.
+// The deterministic model bounds reality: it models every byte of a large
+// writeback at every level, and the real call streams at most that -- a
+// nonzero count exactly when the level has NT kernels.
 TEST_P(SimdCopyTest, ModelAgreesWithRealStreamingDecision) {
   const std::size_t sz = kNtThreshold + 777;
   std::vector<unsigned char> src(sz), dst(sz);
   ca::util::Xoshiro256 rng(44);
   for (auto& x : src) x = static_cast<unsigned char>(rng());
 
-  const std::size_t modeled =
-      nt_bytes_for(sz, CopyHint::kWriteback, active_level());
+  const std::size_t modeled = nt_bytes_for(sz, CopyHint::kWriteback);
   const std::size_t real =
       copy_bytes(dst.data(), src.data(), sz, CopyHint::kWriteback);
-  EXPECT_EQ(modeled != 0, real != 0);
+  EXPECT_EQ(modeled, sz);
   EXPECT_LE(real, modeled);
+  EXPECT_EQ(real != 0, GetParam() != IsaLevel::kScalar);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -67,25 +67,5 @@ TEST(KernelReport, ZeroTimeHasZeroRate) {
   EXPECT_NE(line.find("0.00 GFLOP/s"), std::string::npos);
 }
 
-TEST(OpHistogram, RecordAccumulatesAndDeltaSubtracts) {
-  OpHistogram h;
-  h.record("conv2d", 0.010);
-  h.record("conv2d", 0.005);
-  h.record("dense", 0.002);
-  ASSERT_EQ(h.ops().size(), 2u);
-  EXPECT_EQ(h.ops().at("conv2d").calls, 2u);
-  EXPECT_DOUBLE_EQ(h.ops().at("conv2d").seconds, 0.015);
-
-  const OpHistogram snap = h;
-  h.record("dense", 0.004);
-  h.record("sgd_update", 0.001);
-  const OpHistogram d = h.delta(snap);
-  // conv2d did not move: dropped from the delta entirely.
-  EXPECT_EQ(d.ops().count("conv2d"), 0u);
-  EXPECT_EQ(d.ops().at("dense").calls, 1u);
-  EXPECT_DOUBLE_EQ(d.ops().at("dense").seconds, 0.004);
-  EXPECT_EQ(d.ops().at("sgd_update").calls, 1u);
-}
-
 }  // namespace
 }  // namespace ca::telemetry
